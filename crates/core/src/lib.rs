@@ -13,7 +13,8 @@
 //!   the dependency-free content digest that keys the ground-truth cache
 //!   and seals checkpoints against torn reads;
 //! * deterministic [`rng`] construction so every experiment is reproducible;
-//! * process-wide [`threads`] configuration (the `PDN_THREADS` override);
+//! * process-wide [`threads`] configuration (the `PDN_THREADS` override)
+//!   and the scoped fan-out helper that sizes its workers from it;
 //! * the [`telemetry`] registry — counters, gauges, histograms, scoped
 //!   timers and a JSON-lines sink — that every hot path reports to when
 //!   `PDN_TELEMETRY` (or the `pdn --telemetry` flag) is set;

@@ -410,14 +410,20 @@ impl StageNode {
 /// Builds the aggregated span tree of a log: spans are grouped by name at
 /// each nesting level (so 40 `train.epoch` spans under the same parent
 /// collapse into one node with `count: 40`), roots are spans without a
-/// recorded parent. Siblings are ordered by descending total time.
+/// recorded parent. A span opened on a worker thread has no parent (the
+/// span stack is per-thread); if it names the span it works for in a
+/// `group` field, it is attached there instead, so a fanned-out
+/// `sim.wnv.chunk` lands under its `sim.wnv.group` (whose children may
+/// then sum to more than its wall-clock). Siblings are ordered by
+/// descending total time.
 pub fn span_tree(log: &TelemetryLog) -> Vec<StageNode> {
     let index_of: BTreeMap<u64, usize> =
         log.spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
     let mut children: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     let mut roots: Vec<usize> = Vec::new();
     for (i, s) in log.spans.iter().enumerate() {
-        match s.parent.filter(|p| index_of.contains_key(p)) {
+        let parent = s.parent.or_else(|| s.fields.get("group").and_then(Json::as_u64));
+        match parent.filter(|p| index_of.contains_key(p)) {
             Some(p) => children.entry(p).or_default().push(i),
             None => roots.push(i),
         }
@@ -912,6 +918,26 @@ mod tests {
         let flat = flatten_tree(&tree);
         assert_eq!(flat["cli.simulate / train.epoch"], 530);
         assert_eq!(flat["sim.wnv.run"], 400);
+    }
+
+    #[test]
+    fn span_tree_attaches_worker_spans_to_their_group() {
+        let text = r#"{"ts_us":900,"kind":"span","name":"sim.wnv.batch","span":5,"parent":2,"thread":1,"start_us":100,"dur_us":790,"ok":true}
+{"ts_us":900,"kind":"span","name":"sim.wnv.chunk","span":2,"parent":1,"thread":1,"start_us":100,"dur_us":800,"ok":true,"group":1}
+{"ts_us":940,"kind":"span","name":"sim.wnv.batch","span":6,"parent":3,"thread":2,"start_us":110,"dur_us":820,"ok":true}
+{"ts_us":950,"kind":"span","name":"sim.wnv.chunk","span":3,"parent":null,"thread":2,"start_us":110,"dur_us":840,"ok":true,"group":1}
+{"ts_us":960,"kind":"span","name":"sim.wnv.chunk","span":4,"parent":null,"thread":3,"start_us":120,"dur_us":500,"ok":true,"group":99}
+{"ts_us":1000,"kind":"span","name":"sim.wnv.group","span":1,"parent":null,"thread":1,"start_us":50,"dur_us":950,"ok":true}"#;
+        let tree = span_tree(&TelemetryLog::parse_str(text).unwrap());
+        let flat = flatten_tree(&tree);
+        // Both chunks sit under the group, the one from the worker thread
+        // included, and keep their own batches; a group id that names no
+        // span leaves the span a root.
+        assert_eq!(flat["sim.wnv.group / sim.wnv.chunk"], 1640);
+        assert_eq!(flat["sim.wnv.group / sim.wnv.chunk / sim.wnv.batch"], 1610);
+        assert_eq!(tree.iter().find(|n| n.name == "sim.wnv.group").unwrap().children[0].count, 2);
+        assert_eq!(flat["sim.wnv.chunk"], 500);
+        assert_eq!(tree.len(), 2);
     }
 
     #[test]

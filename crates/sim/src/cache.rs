@@ -40,7 +40,9 @@
 //! Telemetry: `sim.wnv.cache.hits` / `.misses` / `.invalidations` /
 //! `.stores` / `.evictions` count cache outcomes per process;
 //! `sim.wnv.cache.single_flight_waits` counts requests served by waiting on
-//! another thread's in-flight simulation.
+//! another thread's in-flight simulation. A group run also returns its own
+//! counts as a [`GroupOutcome`], of which the per-process counters are the
+//! sum; callers that need exact numbers for one call read those.
 
 use crate::error::SimResult;
 use crate::transient::TransientStats;
@@ -340,13 +342,44 @@ impl WnvCache {
         runner: &WnvRunner,
         grid: &PowerGrid,
         vectors: &[TestVector],
-    ) -> SimResult<Vec<NoiseReport>> {
+    ) -> SimResult<(Vec<NoiseReport>, GroupOutcome)> {
         run_group_store(self, runner, grid, vectors)
     }
 }
 
+/// What one cached group run did. The `sim.wnv.cache.*` telemetry counters
+/// of the same names are the per-process sums of these.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GroupOutcome {
+    /// Vectors found in the store on the first lookup.
+    pub hits: usize,
+    /// Vectors not found on the first lookup.
+    pub misses: usize,
+    /// Reports this call published to the store.
+    pub stores: usize,
+    /// Vectors this call simulated.
+    pub simulated: usize,
+    /// Misses served from the store after waiting on another thread's
+    /// in-flight simulation of the same key.
+    pub single_flight_waits: usize,
+}
+
+impl GroupOutcome {
+    /// Adds this outcome to the process-wide telemetry counters.
+    fn record(&self) {
+        telemetry::counter_add("sim.wnv.cache.hits", self.hits as u64);
+        telemetry::counter_add("sim.wnv.cache.misses", self.misses as u64);
+        telemetry::counter_add("sim.wnv.cache.stores", self.stores as u64);
+        telemetry::counter_add(
+            "sim.wnv.cache.single_flight_waits",
+            self.single_flight_waits as u64,
+        );
+    }
+}
+
 /// Simulates `missing` as one group and publishes each report to `store`,
-/// counting successful stores. Store failures degrade to a warning.
+/// counting simulations and successful stores. Store failures degrade to a
+/// warning.
 fn simulate_and_publish(
     store: &(impl CacheStore + ?Sized),
     runner: &WnvRunner,
@@ -354,12 +387,14 @@ fn simulate_and_publish(
     idx: &[usize],
     keys: &[CacheKey],
     results: &mut [Option<NoiseReport>],
+    outcome: &mut GroupOutcome,
 ) -> SimResult<()> {
     let missing: Vec<TestVector> = idx.iter().map(|&i| vectors[i].clone()).collect();
     let simulated = runner.run_group(&missing)?;
+    outcome.simulated += missing.len();
     for (&i, report) in idx.iter().zip(simulated) {
         match store.store(keys[i], &report) {
-            Ok(()) => telemetry::counter_add("sim.wnv.cache.stores", 1),
+            Ok(()) => outcome.stores += 1,
             Err(e) => {
                 eprintln!("warning: wnv cache: cannot store entry {}: {e}", keys[i].hex())
             }
@@ -383,6 +418,9 @@ fn simulate_and_publish(
 /// simulating the leftovers itself, so single-flight can never turn one
 /// thread's failure into another's missing result.
 ///
+/// Returns the reports in input order together with this call's
+/// [`GroupOutcome`].
+///
 /// # Errors
 ///
 /// Propagates simulator failures on the miss path.
@@ -391,15 +429,28 @@ pub fn run_group_store(
     runner: &WnvRunner,
     grid: &PowerGrid,
     vectors: &[TestVector],
+) -> SimResult<(Vec<NoiseReport>, GroupOutcome)> {
+    let mut outcome = GroupOutcome::default();
+    // Counted on the error path too: what happened before a failure still
+    // happened.
+    let reports = group_through_store(store, runner, grid, vectors, &mut outcome);
+    outcome.record();
+    Ok((reports?, outcome))
+}
+
+fn group_through_store(
+    store: &(impl CacheStore + ?Sized),
+    runner: &WnvRunner,
+    grid: &PowerGrid,
+    vectors: &[TestVector],
+    outcome: &mut GroupOutcome,
 ) -> SimResult<Vec<NoiseReport>> {
     let base = group_digest(grid, runner);
     let keys: Vec<CacheKey> = vectors.iter().map(|v| vector_cache_key_from(&base, v)).collect();
     let mut results: Vec<Option<NoiseReport>> = keys.iter().map(|&k| store.lookup(k)).collect();
-    let hits = results.iter().filter(|r| r.is_some()).count();
-    let misses = vectors.len() - hits;
-    telemetry::counter_add("sim.wnv.cache.hits", hits as u64);
-    telemetry::counter_add("sim.wnv.cache.misses", misses as u64);
-    if misses == 0 {
+    outcome.hits = results.iter().filter(|r| r.is_some()).count();
+    outcome.misses = vectors.len() - outcome.hits;
+    if outcome.misses == 0 {
         return Ok(results.into_iter().map(|r| r.expect("all slots filled")).collect());
     }
 
@@ -446,7 +497,7 @@ pub fn run_group_store(
     if !owned_idx.is_empty() {
         // On error the guards drop with the early return, waking waiters so
         // they re-check and simulate for themselves.
-        simulate_and_publish(store, runner, vectors, &owned_idx, &keys, &mut results)?;
+        simulate_and_publish(store, runner, vectors, &owned_idx, &keys, &mut results, outcome)?;
     }
     // Release our claims only after the entries are published, so woken
     // waiters find them in the store.
@@ -457,14 +508,14 @@ pub fn run_group_store(
         flight.wait();
         match store.lookup(keys[i]) {
             Some(report) => {
-                telemetry::counter_add("sim.wnv.cache.single_flight_waits", 1);
+                outcome.single_flight_waits += 1;
                 results[i] = Some(report);
             }
             None => leftovers.push(i),
         }
     }
     if !leftovers.is_empty() {
-        simulate_and_publish(store, runner, vectors, &leftovers, &keys, &mut results)?;
+        simulate_and_publish(store, runner, vectors, &leftovers, &keys, &mut results, outcome)?;
     }
 
     for (i, first) in dups {
@@ -700,7 +751,7 @@ pub fn run_group_cached(
     vectors: &[TestVector],
 ) -> SimResult<Vec<NoiseReport>> {
     match cache {
-        Some(c) => c.run_group(runner, grid, vectors),
+        Some(c) => c.run_group(runner, grid, vectors).map(|(reports, _)| reports),
         None => runner.run_group(vectors),
     }
 }
@@ -729,8 +780,8 @@ mod tests {
     fn round_trip_is_bit_identical() {
         let (grid, runner, vectors) = fixture();
         let cache = tmp_cache("roundtrip");
-        let first = cache.run_group(&runner, &grid, &vectors).unwrap();
-        let second = cache.run_group(&runner, &grid, &vectors).unwrap();
+        let (first, _) = cache.run_group(&runner, &grid, &vectors).unwrap();
+        let (second, _) = cache.run_group(&runner, &grid, &vectors).unwrap();
         assert_eq!(first.len(), second.len());
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.worst_noise, b.worst_noise);
@@ -745,21 +796,13 @@ mod tests {
     fn second_run_hits_and_skips_simulation() {
         let (grid, runner, vectors) = fixture();
         let cache = tmp_cache("hits");
-        pdn_core::telemetry::reset();
-        pdn_core::telemetry::enable();
-        let _ = cache.run_group(&runner, &grid, &vectors).unwrap();
-        assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.misses"), 3);
-        assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.stores"), 3);
-        let simulated_after_first =
-            pdn_core::telemetry::counter_value("sim.wnv.vectors");
-        let _ = cache.run_group(&runner, &grid, &vectors).unwrap();
-        assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.hits"), 3);
-        // No additional vectors were simulated on the hit path.
-        assert_eq!(
-            pdn_core::telemetry::counter_value("sim.wnv.vectors"),
-            simulated_after_first
-        );
-        pdn_core::telemetry::reset();
+        let (_, first) = cache.run_group(&runner, &grid, &vectors).unwrap();
+        assert_eq!(first.misses, 3);
+        assert_eq!(first.stores, 3);
+        let (_, second) = cache.run_group(&runner, &grid, &vectors).unwrap();
+        assert_eq!(second.hits, 3);
+        // No vectors were simulated on the hit path.
+        assert_eq!(second.simulated, 0);
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
@@ -774,14 +817,11 @@ mod tests {
         let gen = VectorGenerator::new(&grid, GeneratorConfig { steps: 30, ..Default::default() });
         let mut changed = vectors.clone();
         changed[1] = gen.generate_group(1, 99).pop().unwrap();
-        pdn_core::telemetry::reset();
-        pdn_core::telemetry::enable();
-        let reports = cache.run_group(&runner, &grid, &changed).unwrap();
-        assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.hits"), 2);
-        assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.misses"), 1);
-        assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.stores"), 1);
-        assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.vectors"), 1);
-        pdn_core::telemetry::reset();
+        let (reports, outcome) = cache.run_group(&runner, &grid, &changed).unwrap();
+        assert_eq!(outcome.hits, 2);
+        assert_eq!(outcome.misses, 1);
+        assert_eq!(outcome.stores, 1);
+        assert_eq!(outcome.simulated, 1);
         // Reports come back in input order, the cached ones bit-identical
         // to solo simulation.
         assert_eq!(reports.len(), 3);
@@ -812,7 +852,7 @@ mod tests {
     fn corrupt_entry_falls_back_to_simulation() {
         let (grid, runner, vectors) = fixture();
         let cache = tmp_cache("corrupt");
-        let first = cache.run_group(&runner, &grid, &vectors).unwrap();
+        let (first, _) = cache.run_group(&runner, &grid, &vectors).unwrap();
         let key = cache_key(&grid, &vectors[0], &runner);
         let path = cache.dir().join(format!("{}.wnv", key.hex()));
         // Flip one payload byte: the integrity seal must reject the entry.
@@ -820,16 +860,22 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        pdn_core::telemetry::reset();
+        // Only this test corrupts entries and no pdn-sim unit test resets
+        // telemetry, so the counter's rise is this run's alone.
         pdn_core::telemetry::enable();
-        let again = cache.run_group(&runner, &grid, &vectors).unwrap();
-        assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.invalidations"), 1);
-        assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.misses"), 1);
-        assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.hits"), 2);
+        let invalidations = || pdn_core::telemetry::counter_value("sim.wnv.cache.invalidations");
+        let before = invalidations();
+        let (again, outcome) = cache.run_group(&runner, &grid, &vectors).unwrap();
+        assert_eq!(invalidations() - before, 1);
+        assert_eq!(outcome.misses, 1);
+        assert_eq!(outcome.hits, 2);
+        assert_eq!(outcome.stores, 1);
+        // The corrupt entry was dropped and replaced by a sound one.
+        assert_ne!(std::fs::read(&path).unwrap(), bytes);
+        assert!(cache.lookup(key).is_some());
         for (a, b) in first.iter().zip(&again) {
             assert_eq!(a.worst_noise, b.worst_noise);
         }
-        pdn_core::telemetry::reset();
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
@@ -891,17 +937,18 @@ mod tests {
         let noop = cache.gc(None, None).unwrap();
         assert_eq!(noop, GcReport { removed: 0, freed_bytes: 0, kept: 3, kept_bytes: 3 * entry_bytes });
 
-        // Age bound: only the 1000 s-old entry exceeds 750 s.
-        pdn_core::telemetry::reset();
+        // Age bound: only the 1000 s-old entry exceeds 750 s. Only this
+        // test evicts, and none resets telemetry, so the rise is its own.
         pdn_core::telemetry::enable();
+        let evictions = || pdn_core::telemetry::counter_value("sim.wnv.cache.evictions");
+        let before = evictions();
         let aged = cache.gc(None, Some(Duration::from_secs(750))).unwrap();
         assert_eq!(aged.removed, 1);
         assert_eq!(aged.freed_bytes, entry_bytes);
         assert_eq!(aged.kept, 2);
         assert!(!path_of(1).exists());
         assert!(path_of(2).exists() && path_of(3).exists());
-        assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.evictions"), 1);
-        pdn_core::telemetry::reset();
+        assert_eq!(evictions() - before, 1);
 
         // Size bound: room for one entry, so the older survivor goes.
         let sized = cache.gc(Some(entry_bytes), None).unwrap();

@@ -175,8 +175,14 @@ impl TransientSimulator {
 
     /// Solves `A V = RHS` for `k` interleaved right-hand sides against the
     /// single shared factorization. Returns the worst `(iterations,
-    /// residual)` across the batch (zeros for the direct path).
-    fn solve_step_multi(&self, rhs: &[f64], v: &mut [f64], k: usize) -> SimResult<(usize, f64)> {
+    /// residual)` across the batch (zeros for the direct path). `rhs` is
+    /// scratch afterwards: CG forms its residual there.
+    fn solve_step_multi(
+        &self,
+        rhs: &mut [f64],
+        v: &mut [f64],
+        k: usize,
+    ) -> SimResult<(usize, f64)> {
         match &self.solver {
             SolverState::Cg { pre, opts } => {
                 Ok(cg::solve_warm_multi(&self.matrix, rhs, v, k, pre, opts)?)
@@ -189,7 +195,6 @@ impl TransientSimulator {
         }
     }
 
-    /// Nominal supply voltage.
     /// The solver strategy this engine was built with.
     pub fn solver_kind(&self) -> SolverKind {
         match self.solver {
@@ -218,6 +223,7 @@ impl TransientSimulator {
         }
     }
 
+    /// Nominal supply voltage.
     pub fn vdd(&self) -> Volts {
         Volts(self.vdd)
     }
@@ -370,6 +376,7 @@ impl TransientSimulator {
         let mut rhs = vec![0.0; n * k];
         let mut col = vec![0.0; n];
         for step in 0..steps {
+            // Rewrites every entry: the previous solve left its residual here.
             for ((rb, vb), &c) in
                 rhs.chunks_mut(k).zip(v.chunks(k)).zip(&self.cap_over_dt)
             {
@@ -388,7 +395,7 @@ impl TransientSimulator {
                 }
             }
             let t_step = telemetry::enabled().then(std::time::Instant::now);
-            let (iters, resid) = self.solve_step_multi(&rhs, &mut v, k)?;
+            let (iters, resid) = self.solve_step_multi(&mut rhs, &mut v, k)?;
             if let Some(t) = t_step {
                 telemetry::observe_duration("sim.transient.batch_step_seconds", t.elapsed());
             }

@@ -12,7 +12,7 @@ use pdn_core::map::TileMap;
 use pdn_core::units::Volts;
 use pdn_grid::build::{NodeId, PowerGrid};
 use pdn_vectors::vector::TestVector;
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Default number of vectors marched per lockstep batch in
@@ -198,30 +198,58 @@ impl WnvRunner {
 
     /// Runs WNV for a group of vectors, returning one report per vector.
     ///
-    /// Vectors are fanned out across the rayon pool in chunks of
-    /// [`DEFAULT_BATCH`]; each chunk whose vectors share a step count is
-    /// marched in lockstep via [`Self::run_batch`], others fall back to
-    /// per-vector runs. Reports are returned in input order and are bitwise
-    /// identical to individual [`Self::run`] calls regardless of thread
-    /// count or batching.
+    /// Vectors are split into chunks of [`DEFAULT_BATCH`], which are dealt
+    /// across `PDN_THREADS` scoped worker threads
+    /// ([`pdn_core::threads::fan_out`]; unset means one worker, the calling
+    /// thread). Each chunk whose vectors share a step count is marched in
+    /// lockstep via [`Self::run_batch`], others fall back to per-vector
+    /// runs. Reports are returned in input order and are bitwise identical
+    /// to individual [`Self::run`] calls regardless of thread count or
+    /// batching.
     ///
     /// # Errors
     ///
-    /// Fails on the first vector that fails.
+    /// Returns the error of the first failing vector of the lowest-index
+    /// failing chunk, as a sequential run would report. Once a chunk has
+    /// failed, chunks after it are skipped instead of simulated.
     pub fn run_group(&self, vectors: &[TestVector]) -> SimResult<Vec<NoiseReport>> {
+        self.run_group_on(vectors, pdn_core::threads::configure_from_env())
+    }
+
+    /// [`Self::run_group`] across an explicit number of workers.
+    fn run_group_on(&self, vectors: &[TestVector], workers: usize) -> SimResult<Vec<NoiseReport>> {
         let mut span = pdn_core::telemetry::span("sim.wnv.group");
         span.field("vectors", vectors.len());
-        let chunked: Vec<Vec<NoiseReport>> = vectors
-            .par_chunks(DEFAULT_BATCH)
-            .map(|chunk| {
-                if chunk.iter().all(|v| v.step_count() == chunk[0].step_count()) {
-                    let refs: Vec<&TestVector> = chunk.iter().collect();
-                    self.run_batch(&refs)
-                } else {
-                    chunk.iter().map(|v| self.run(v)).collect()
-                }
-            })
-            .collect::<SimResult<_>>()?;
+        let group = span.id();
+        // Lowest index of a chunk that has failed so far.
+        let failed = AtomicUsize::new(usize::MAX);
+        let chunks: Vec<(usize, &[TestVector])> =
+            vectors.chunks(DEFAULT_BATCH).enumerate().collect();
+        let chunked = pdn_core::threads::fan_out(workers, chunks, |(i, chunk)| {
+            if i > failed.load(Ordering::Relaxed) {
+                // Never read: the earlier chunk's error comes first.
+                return Ok(Vec::new());
+            }
+            // A span opened on a spawned worker has no parent (the span
+            // stack is per-thread), so each chunk names its group; the
+            // batch and run spans below nest under the chunk.
+            let mut chunk_span = pdn_core::telemetry::span("sim.wnv.chunk");
+            chunk_span.field("vectors", chunk.len());
+            if let Some(group) = group {
+                chunk_span.field("group", group);
+            }
+            let reports = if chunk.iter().all(|v| v.step_count() == chunk[0].step_count()) {
+                let refs: Vec<&TestVector> = chunk.iter().collect();
+                self.run_batch(&refs)
+            } else {
+                chunk.iter().map(|v| self.run(v)).collect()
+            };
+            if reports.is_err() {
+                failed.fetch_min(i, Ordering::Relaxed);
+            }
+            reports
+        });
+        let chunked: Vec<Vec<NoiseReport>> = chunked.into_iter().collect::<SimResult<_>>()?;
         Ok(chunked.into_iter().flatten().collect())
     }
 }
@@ -338,6 +366,50 @@ mod tests {
         let again = runner.run_group(&vectors).unwrap();
         for (a, b) in group.iter().zip(&again) {
             assert_eq!(a.worst_noise, b.worst_noise);
+        }
+    }
+
+    #[test]
+    fn fanned_out_group_matches_individual_runs_at_every_width() {
+        // 5 and 9 vectors leave a short last chunk, and 3 workers over 3
+        // chunks (or 2 over 2) deal unevenly.
+        let g = grid();
+        let runner = WnvRunner::new(&g).unwrap();
+        let gen = VectorGenerator::new(&g, GeneratorConfig { steps: 30, ..Default::default() });
+        let vectors = gen.generate_group(9, 21);
+        let solo: Vec<TileMap> =
+            vectors.iter().map(|v| runner.run(v).unwrap().worst_noise).collect();
+        for len in [5, 9] {
+            for workers in [1, 2, 3] {
+                let group = runner.run_group_on(&vectors[..len], workers).unwrap();
+                assert_eq!(group.len(), len);
+                for (i, report) in group.iter().enumerate() {
+                    let at = format!("len={len} workers={workers} vector {i}");
+                    assert_eq!(report.worst_noise, solo[i], "{at}");
+                    assert_eq!(report.max_noise.0, solo[i].max());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fanned_out_group_reports_the_lowest_failing_chunk() {
+        let g = grid();
+        let runner = WnvRunner::new(&g).unwrap();
+        let gen = VectorGenerator::new(&g, GeneratorConfig { steps: 20, ..Default::default() });
+        let mut vectors = gen.generate_group(9, 4);
+        let (loads, dt) = (vectors[0].load_count(), vectors[0].time_step());
+        let wrong = |loads| TestVector::from_flat(20, loads, vec![0.0; 20 * loads], dt);
+        // Chunks are [0..4], [4..8], [8]; the middle and last both fail,
+        // and the middle one fails first at vector 5.
+        vectors[5] = wrong(loads + 1);
+        vectors[8] = wrong(loads + 2);
+        let actual = |workers| match runner.run_group_on(&vectors, workers) {
+            Err(crate::error::SimError::VectorMismatch { actual, .. }) => actual,
+            other => panic!("workers={workers}: expected a mismatch, got {other:?}"),
+        };
+        for workers in [1, 2, 3] {
+            assert_eq!(actual(workers), loads + 1, "workers={workers}");
         }
     }
 

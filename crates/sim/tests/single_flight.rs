@@ -1,13 +1,8 @@
 //! Concurrency tests for the ground-truth cache: single-flight
 //! deduplication of racing misses and the `CacheStore` trait seam.
-//!
-//! These live in their own test binary because they assert exact values of
-//! process-global telemetry counters, which must not race with unrelated
-//! tests sharing the process.
 
-use pdn_core::telemetry;
 use pdn_grid::design::{DesignPreset, DesignScale};
-use pdn_sim::cache::{run_group_store, CacheKey, CacheStore, WnvCache};
+use pdn_sim::cache::{run_group_store, CacheKey, CacheStore, GroupOutcome, WnvCache};
 use pdn_sim::wnv::{NoiseReport, WnvRunner};
 use pdn_vectors::generator::{GeneratorConfig, VectorGenerator};
 use std::collections::HashMap;
@@ -25,16 +20,11 @@ fn racing_misses_on_one_key_simulate_and_store_once() {
     let _ = std::fs::remove_dir_all(&dir);
     let cache = WnvCache::open(&dir).unwrap();
 
-    telemetry::reset();
-    telemetry::enable();
-
-    // The reference report, simulated outside the cache (and outside the
-    // telemetry window used for the counter assertions below).
+    // The reference report, simulated outside the cache.
     let reference = WnvRunner::new(&grid).unwrap().run(&vectors[0]).unwrap();
-    let sim_count_before = telemetry::counter_value("sim.wnv.vectors");
 
     let barrier = Barrier::new(2);
-    let reports: Vec<NoiseReport> = std::thread::scope(|s| {
+    let runs: Vec<(NoiseReport, GroupOutcome)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let cache = cache.clone();
@@ -44,8 +34,8 @@ fn racing_misses_on_one_key_simulate_and_store_once() {
                 s.spawn(move || {
                     let runner = WnvRunner::new(grid).unwrap();
                     barrier.wait();
-                    let mut group = cache.run_group(&runner, grid, vectors).unwrap();
-                    group.pop().unwrap()
+                    let (mut group, outcome) = cache.run_group(&runner, grid, vectors).unwrap();
+                    (group.pop().unwrap(), outcome)
                 })
             })
             .collect();
@@ -56,22 +46,21 @@ fn racing_misses_on_one_key_simulate_and_store_once() {
     // single-flight (or, if it arrived late, by a plain cache hit). Either
     // way the simulation and the store happen once.
     assert_eq!(
-        telemetry::counter_value("sim.wnv.cache.stores"),
+        runs.iter().map(|(_, o)| o.stores).sum::<usize>(),
         1,
-        "two racing misses on one key must store exactly once"
+        "two racing misses on one key must store exactly once: {runs:?}"
     );
     assert_eq!(
-        telemetry::counter_value("sim.wnv.vectors") - sim_count_before,
+        runs.iter().map(|(_, o)| o.simulated).sum::<usize>(),
         1,
-        "two racing misses on one key must simulate exactly once"
+        "two racing misses on one key must simulate exactly once: {runs:?}"
     );
 
-    for r in &reports {
+    for (r, _) in &runs {
         assert_eq!(r.max_noise, reference.max_noise);
         assert_eq!(r.worst_noise, reference.worst_noise);
     }
 
-    telemetry::reset();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -101,11 +90,12 @@ fn run_group_store_works_against_a_non_filesystem_backend() {
     let vectors = gen.generate_group(2, 23);
 
     let store = MemStore::default();
-    let first = run_group_store(&store, &runner, &grid, &vectors).unwrap();
+    let (first, _) = run_group_store(&store, &runner, &grid, &vectors).unwrap();
     assert_eq!(store.map.lock().unwrap().len(), 2);
 
     // Second run must be served entirely from the backend, bit-identically.
-    let second = run_group_store(&store, &runner, &grid, &vectors).unwrap();
+    let (second, outcome) = run_group_store(&store, &runner, &grid, &vectors).unwrap();
+    assert_eq!(outcome, GroupOutcome { hits: 2, ..GroupOutcome::default() });
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.worst_noise, b.worst_noise);
         assert_eq!(a.max_noise, b.max_noise);
@@ -114,6 +104,6 @@ fn run_group_store_works_against_a_non_filesystem_backend() {
     // The trait is object-safe: a fleet backend can be handed around as
     // `&dyn CacheStore`.
     let dyn_store: &dyn CacheStore = &store;
-    let third = run_group_store(dyn_store, &runner, &grid, &vectors).unwrap();
+    let (third, _) = run_group_store(dyn_store, &runner, &grid, &vectors).unwrap();
     assert_eq!(third.len(), 2);
 }

@@ -185,6 +185,21 @@ pub fn solve_warm<P: Preconditioner>(
     pre: &P,
     opts: &CgOptions,
 ) -> SparseResult<(usize, f64)> {
+    let mut r = b.to_vec();
+    solve_warm_in_place(a, &mut r, x, pre, opts)
+}
+
+/// [`solve_warm`] with the residual formed in the right-hand side's
+/// storage: on success `b` holds the final CG residual `b − A·x` (on
+/// error its contents are unspecified). Saves the residual buffer when the
+/// caller has no further use for `b`.
+fn solve_warm_in_place<P: Preconditioner>(
+    a: &CsrMatrix,
+    b: &mut [f64],
+    x: &mut [f64],
+    pre: &P,
+    opts: &CgOptions,
+) -> SparseResult<(usize, f64)> {
     match solve_warm_inner(a, b, x, pre, opts) {
         Ok((iterations, residual)) => {
             record_solve(iterations, residual);
@@ -199,45 +214,44 @@ pub fn solve_warm<P: Preconditioner>(
 
 fn solve_warm_inner<P: Preconditioner>(
     a: &CsrMatrix,
-    b: &[f64],
+    r: &mut [f64],
     x: &mut [f64],
     pre: &P,
     opts: &CgOptions,
 ) -> SparseResult<(usize, f64)> {
-    if a.n_rows() != a.n_cols() || a.n_rows() != b.len() || b.len() != x.len() {
+    if a.n_rows() != a.n_cols() || a.n_rows() != r.len() || r.len() != x.len() {
         return Err(SolveError::DimensionMismatch {
             detail: format!(
                 "cg: A is {}x{}, b has {}, x has {}",
                 a.n_rows(),
                 a.n_cols(),
-                b.len(),
+                r.len(),
                 x.len()
             ),
         });
     }
-    let n = b.len();
-    let norm_b = norm2(b);
+    let n = r.len();
+    let norm_b = norm2(r);
     if norm_b == 0.0 {
         x.iter_mut().for_each(|v| *v = 0.0);
         return Ok((0, 0.0));
     }
 
-    // r = b - A x
-    let mut r = vec![0.0; n];
-    a.mul_vec_into(x, &mut r);
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
+    // r = b - A x, in b's storage.
+    let mut ap = vec![0.0; n];
+    a.mul_vec_into(x, &mut ap);
+    for (ri, axi) in r.iter_mut().zip(&ap) {
+        *ri -= axi;
     }
-    let mut resid = norm2(&r) / norm_b;
+    let mut resid = norm2(r) / norm_b;
     if resid <= opts.tolerance {
         return Ok((0, resid));
     }
 
     let mut z = vec![0.0; n];
-    pre.apply(&r, &mut z);
+    pre.apply(r, &mut z);
     let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut ap = vec![0.0; n];
+    let mut rz = dot(r, &z);
 
     for it in 1..=opts.max_iterations {
         a.mul_vec_into(&p, &mut ap);
@@ -248,13 +262,13 @@ fn solve_warm_inner<P: Preconditioner>(
         }
         let alpha = rz / pap;
         axpy(alpha, &p, x);
-        axpy(-alpha, &ap, &mut r);
-        resid = norm2(&r) / norm_b;
+        axpy(-alpha, &ap, r);
+        resid = norm2(r) / norm_b;
         if resid <= opts.tolerance {
             return Ok((it, resid));
         }
-        pre.apply(&r, &mut z);
-        let rz_new = dot(&r, &z);
+        pre.apply(r, &mut z);
+        let rz_new = dot(r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
         xpby(&z, beta, &mut p);
@@ -273,6 +287,11 @@ fn solve_warm_inner<P: Preconditioner>(
 /// exactly those of a separate [`solve_warm`] in the same order — the
 /// batched result is bitwise identical to `k` sequential solves.
 ///
+/// `b` doubles as the residual buffer: on success it holds each column's
+/// final CG residual `b − A·x` (equal to the true residual up to rounding),
+/// and on error its contents are unspecified. Callers that need the
+/// right-hand sides afterwards must keep a copy.
+///
 /// Returns `(max_iterations_used, max_relative_residual)` over the batch.
 ///
 /// # Errors
@@ -282,14 +301,14 @@ fn solve_warm_inner<P: Preconditioner>(
 /// direction; in both cases the whole batch is abandoned.
 pub fn solve_warm_multi<P: Preconditioner>(
     a: &CsrMatrix,
-    b: &[f64],
+    b: &mut [f64],
     x: &mut [f64],
     k: usize,
     pre: &P,
     opts: &CgOptions,
 ) -> SparseResult<(usize, f64)> {
     if k == 1 {
-        return solve_warm(a, b, x, pre, opts);
+        return solve_warm_in_place(a, b, x, pre, opts);
     }
     let n = a.n_rows();
     if a.n_rows() != a.n_cols() || b.len() != n * k || x.len() != n * k || k == 0 {
@@ -336,11 +355,11 @@ fn record_batch(iterations: &[usize], max_residual: f64) {
 }
 
 /// Arbitrary batch widths: each column is extracted to a contiguous buffer
-/// and solved with [`solve_warm`], making the per-column bitwise contract
-/// immediate.
+/// and solved like [`solve_warm`], making the per-column bitwise contract
+/// immediate; the column's residual goes back into `b`.
 fn multi_fallback<P: Preconditioner>(
     a: &CsrMatrix,
-    b: &[f64],
+    b: &mut [f64],
     x: &mut [f64],
     k: usize,
     pre: &P,
@@ -354,11 +373,12 @@ fn multi_fallback<P: Preconditioner>(
     for t in 0..k {
         crate::vecops::deinterleave_into(b, k, t, &mut bt);
         crate::vecops::deinterleave_into(x, k, t, &mut xt);
-        let (it, res) = solve_warm(a, &bt, &mut xt, pre, opts)?;
+        let (it, res) = solve_warm_in_place(a, &mut bt, &mut xt, pre, opts)?;
         worst_it = worst_it.max(it);
         worst_res = worst_res.max(res);
-        for (i, &v) in xt.iter().enumerate() {
+        for (i, (&v, &r)) in xt.iter().zip(&bt).enumerate() {
             x[i * k + t] = v;
+            b[i * k + t] = r;
         }
     }
     Ok((worst_it, worst_res))
@@ -390,9 +410,13 @@ fn col_dots<const K: usize>(u: &[f64], v: &[f64], active: &[usize], out: &mut [f
 /// compile time. Columns converge and freeze independently; while every
 /// column is still active the vector updates take contiguous fixed-width
 /// fast paths.
+///
+/// The residual lives in `b`'s storage and one scratch buffer `w` holds
+/// `A·x`, then `z = M⁻¹r` and `A·p` in turn (each is dead before the next
+/// is written), so a solve allocates two `n·K` buffers (`w` and `p`).
 fn multi_body<const K: usize, P: Preconditioner>(
     a: &CsrMatrix,
-    b: &[f64],
+    b: &mut [f64],
     x: &mut [f64],
     pre: &P,
     opts: &CgOptions,
@@ -426,12 +450,13 @@ fn multi_body<const K: usize, P: Preconditioner>(
         }
     }
 
-    // r = b - A x
-    let mut r = vec![0.0; n * K];
-    a.mul_multi_into(x, K, &mut r);
-    for (rb, bb) in r.chunks_exact_mut(K).zip(b.chunks_exact(K)) {
+    // r = b - A x, in b's storage.
+    let mut w = vec![0.0; n * K];
+    a.mul_multi_into(x, K, &mut w);
+    let r = b;
+    for (rb, wb) in r.chunks_exact_mut(K).zip(w.chunks_exact(K)) {
         for t in 0..K {
-            rb[t] = bb[t] - rb[t];
+            rb[t] -= wb[t];
         }
     }
     // One fused pass computes every column norm; per column the squares
@@ -452,20 +477,18 @@ fn multi_body<const K: usize, P: Preconditioner>(
         return Ok((0, max_res));
     }
 
-    let mut z = vec![0.0; n * K];
-    pre.apply_multi(&r, &mut z, K);
-    let mut p = z.clone();
+    pre.apply_multi(r, &mut w, K); // w = z
+    let mut p = w.clone();
     let mut rz = [0.0f64; K];
-    col_dots(&r, &z, &active, &mut rz);
-    let mut ap = vec![0.0; n * K];
+    col_dots(r, &w, &active, &mut rz);
     let mut pap = [0.0f64; K];
     let mut alpha = [0.0f64; K];
     let mut beta = [0.0f64; K];
     let mut rz_new = [0.0f64; K];
 
     for it in 1..=opts.max_iterations {
-        a.mul_multi_into(&p, K, &mut ap);
-        col_dots(&p, &ap, &active, &mut pap);
+        a.mul_multi_into(&p, K, &mut w); // w = A·p
+        col_dots(&p, &w, &active, &mut pap);
         for &t in &active {
             if pap[t] <= 0.0 {
                 let e = SolveError::NotPositiveDefinite { row: it, pivot: pap[t] };
@@ -476,7 +499,7 @@ fn multi_body<const K: usize, P: Preconditioner>(
         }
         if active.len() == K {
             let rows = x.chunks_exact_mut(K).zip(r.chunks_exact_mut(K));
-            for ((xb, rb), (pb, ab)) in rows.zip(p.chunks_exact(K).zip(ap.chunks_exact(K))) {
+            for ((xb, rb), (pb, ab)) in rows.zip(p.chunks_exact(K).zip(w.chunks_exact(K))) {
                 for t in 0..K {
                     xb[t] += alpha[t] * pb[t];
                     rb[t] -= alpha[t] * ab[t];
@@ -487,7 +510,7 @@ fn multi_body<const K: usize, P: Preconditioner>(
                 let base = blk * K;
                 for &t in &active {
                     x[base + t] += alpha[t] * p[base + t];
-                    r[base + t] -= alpha[t] * ap[base + t];
+                    r[base + t] -= alpha[t] * w[base + t];
                 }
             }
         }
@@ -511,14 +534,14 @@ fn multi_body<const K: usize, P: Preconditioner>(
             record_batch(&iterations, max_res);
             return Ok((iterations.iter().cloned().max().unwrap_or(0), max_res));
         }
-        pre.apply_multi(&r, &mut z, K);
-        col_dots(&r, &z, &active, &mut rz_new);
+        pre.apply_multi(r, &mut w, K); // w = z
+        col_dots(r, &w, &active, &mut rz_new);
         for &t in &active {
             beta[t] = rz_new[t] / rz[t];
             rz[t] = rz_new[t];
         }
         if active.len() == K {
-            for (pb, zb) in p.chunks_exact_mut(K).zip(z.chunks_exact(K)) {
+            for (pb, zb) in p.chunks_exact_mut(K).zip(w.chunks_exact(K)) {
                 for t in 0..K {
                     pb[t] = zb[t] + beta[t] * pb[t];
                 }
@@ -527,7 +550,7 @@ fn multi_body<const K: usize, P: Preconditioner>(
             for blk in 0..n {
                 let base = blk * K;
                 for &t in &active {
-                    p[base + t] = z[base + t] + beta[t] * p[base + t];
+                    p[base + t] = w[base + t] + beta[t] * p[base + t];
                 }
             }
         }
@@ -675,7 +698,7 @@ mod tests {
                 }
                 .unwrap()
             };
-            let run_multi = |b: &[f64], x: &mut [f64]| -> (usize, f64) {
+            let run_multi = |b: &mut [f64], x: &mut [f64]| -> (usize, f64) {
                 match pre_name {
                     "ic0" => solve_warm_multi(
                         &a,
@@ -715,13 +738,52 @@ mod tests {
             let mut b_multi = vec![0.0; n * k];
             interleave(&refs, &mut b_multi);
             let mut x_multi = vec![0.0; n * k];
-            let (it_multi, _) = run_multi(&b_multi, &mut x_multi);
+            let (it_multi, _) = run_multi(&mut b_multi, &mut x_multi);
             assert_eq!(it_multi, seq_iters, "{pre_name}: iteration counts differ");
 
             let mut col = vec![0.0; n];
             for (t, expected) in seq.iter().enumerate() {
                 deinterleave_into(&x_multi, k, t, &mut col);
                 assert_eq!(&col, expected, "{pre_name}: vector {t} differs (bitwise)");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_rhs_leaves_the_residual_in_b() {
+        use crate::vecops::{deinterleave_into, interleave};
+        let a = grid_laplacian(7, 0.2);
+        let n = a.n_rows();
+        let pre = IncompleteCholesky::factor(&a).unwrap();
+        let opts = CgOptions::default();
+        // 2, 3, 4 and 8 take the fixed-width body, 5 the column fallback,
+        // 1 the single-vector solver.
+        for k in [1, 2, 3, 4, 5, 8] {
+            let rhs = batch_rhs(n, k);
+            let refs: Vec<&[f64]> = rhs.iter().map(|v| v.as_slice()).collect();
+            let mut b = vec![0.0; n * k];
+            interleave(&refs, &mut b);
+            let mut x = vec![0.0; n * k];
+            solve_warm_multi(&a, &mut b, &mut x, k, &pre, &opts).unwrap();
+
+            let (mut xt, mut rt) = (vec![0.0; n], vec![0.0; n]);
+            for (t, b_orig) in rhs.iter().enumerate() {
+                deinterleave_into(&x, k, t, &mut xt);
+                deinterleave_into(&b, k, t, &mut rt);
+                let mut x_solo = vec![0.0; n];
+                solve_warm(&a, b_orig, &mut x_solo, &pre, &opts).unwrap();
+                assert_eq!(xt, x_solo, "k={k}: vector {t} differs from a solo solve");
+
+                let ax = a.mul_vec(&xt);
+                let scale = norm2(b_orig).max(1e-300);
+                for i in 0..n {
+                    let want = b_orig[i] - ax[i];
+                    assert!(
+                        (rt[i] - want).abs() <= 1e-12 * scale,
+                        "k={k}: vector {t} row {i}: b holds {} but b - Ax is {want}",
+                        rt[i]
+                    );
+                }
             }
         }
     }
@@ -739,7 +801,7 @@ mod tests {
         let mut x = vec![0.0; n * k];
         let opts = CgOptions { tolerance: 0.0, max_iterations: 2 };
         assert!(matches!(
-            solve_warm_multi(&a, &b, &mut x, k, &IdentityPreconditioner, &opts),
+            solve_warm_multi(&a, &mut b, &mut x, k, &IdentityPreconditioner, &opts),
             Err(SolveError::NotConverged { iterations: 2, .. })
         ));
     }

@@ -21,9 +21,9 @@
 //! 3. **solves many right-hand sides per factorization**: blocked
 //!    forward/backward substitution that streams each panel once for a
 //!    whole block of vectors, and [`SupernodalCholesky::solve_sweep`] which
-//!    fans independent RHS blocks out across `std::thread::scope` threads
-//!    (`PDN_THREADS`), with per-vector results bitwise independent of the
-//!    thread count.
+//!    fans independent RHS blocks out across `PDN_THREADS` scoped worker
+//!    threads ([`pdn_core::threads::fan_out`]), with per-vector results
+//!    bitwise independent of the thread count.
 //!
 //! The factorization handles the fill-reducing permutation internally:
 //! callers pass the matrix and right-hand sides in their natural node
@@ -573,10 +573,9 @@ impl SupernodalCholesky {
 
     /// Solves `nrhs` contiguous right-hand sides (`rhs[v * dim()..]` is
     /// vector `v`), blocked [`SWEEP_BLOCK`] at a time and fanned out across
-    /// `std::thread::scope` threads sized by `PDN_THREADS`
-    /// ([`pdn_core::threads::configure_from_env`]). Blocks are fixed-size
-    /// units of work, so per-vector results are bitwise independent of the
-    /// thread count.
+    /// `PDN_THREADS` workers by [`pdn_core::threads::fan_out`]. Blocks are
+    /// fixed-size units of work, so per-vector results are bitwise
+    /// independent of the thread count.
     ///
     /// # Panics
     ///
@@ -588,27 +587,8 @@ impl SupernodalCholesky {
             return;
         }
         let blocks: Vec<&mut [f64]> = rhs.chunks_mut(n * SWEEP_BLOCK).collect();
-        let threads = pdn_core::threads::configure_from_env().min(blocks.len()).max(1);
-        if threads <= 1 {
-            for block in blocks {
-                self.solve_block(block);
-            }
-            return;
-        }
-        // Deal blocks round-robin; each thread owns its blocks exclusively.
-        let mut per_thread: Vec<Vec<&mut [f64]>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, block) in blocks.into_iter().enumerate() {
-            per_thread[i % threads].push(block);
-        }
-        std::thread::scope(|scope| {
-            for mine in per_thread {
-                scope.spawn(move || {
-                    for block in mine {
-                        self.solve_block(block);
-                    }
-                });
-            }
-        });
+        let workers = pdn_core::threads::configure_from_env();
+        pdn_core::threads::fan_out(workers, blocks, |block| self.solve_block(block));
     }
 
     /// Solves one vector-major block in place (permute+interleave in, solve,

@@ -22,6 +22,12 @@ echo "== cargo test =="
 cargo test -q --offline --workspace
 
 echo
+echo "== cargo test -p pdn-sim at PDN_THREADS=2 =="
+# The suite above runs at width 1 (PDN_THREADS unset), so WnvRunner::run_group
+# and the cache and single-flight paths over it only run fanned out here.
+PDN_THREADS=2 cargo test -q --offline -p pdn-sim
+
+echo
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
