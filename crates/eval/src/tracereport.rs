@@ -922,9 +922,9 @@ mod tests {
 
     #[test]
     fn span_tree_attaches_worker_spans_to_their_group() {
-        let text = r#"{"ts_us":900,"kind":"span","name":"sim.wnv.batch","span":5,"parent":2,"thread":1,"start_us":100,"dur_us":790,"ok":true}
+        let text = r#"{"ts_us":900,"kind":"span","name":"sim.wnv.run","span":5,"parent":2,"thread":1,"start_us":100,"dur_us":790,"ok":true}
 {"ts_us":900,"kind":"span","name":"sim.wnv.chunk","span":2,"parent":1,"thread":1,"start_us":100,"dur_us":800,"ok":true,"group":1}
-{"ts_us":940,"kind":"span","name":"sim.wnv.batch","span":6,"parent":3,"thread":2,"start_us":110,"dur_us":820,"ok":true}
+{"ts_us":940,"kind":"span","name":"sim.wnv.run","span":6,"parent":3,"thread":2,"start_us":110,"dur_us":820,"ok":true}
 {"ts_us":950,"kind":"span","name":"sim.wnv.chunk","span":3,"parent":null,"thread":2,"start_us":110,"dur_us":840,"ok":true,"group":1}
 {"ts_us":960,"kind":"span","name":"sim.wnv.chunk","span":4,"parent":null,"thread":3,"start_us":120,"dur_us":500,"ok":true,"group":99}
 {"ts_us":1000,"kind":"span","name":"sim.wnv.group","span":1,"parent":null,"thread":1,"start_us":50,"dur_us":950,"ok":true}"#;
@@ -934,7 +934,7 @@ mod tests {
         // included, and keep their own batches; a group id that names no
         // span leaves the span a root.
         assert_eq!(flat["sim.wnv.group / sim.wnv.chunk"], 1640);
-        assert_eq!(flat["sim.wnv.group / sim.wnv.chunk / sim.wnv.batch"], 1610);
+        assert_eq!(flat["sim.wnv.group / sim.wnv.chunk / sim.wnv.run"], 1610);
         assert_eq!(tree.iter().find(|n| n.name == "sim.wnv.group").unwrap().children[0].count, 2);
         assert_eq!(flat["sim.wnv.chunk"], 500);
         assert_eq!(tree.len(), 2);

@@ -24,10 +24,9 @@ pub enum SolverKind {
     /// (the default; scales to the largest grids).
     #[default]
     IterativeCg,
-    /// Supernodal sparse direct Cholesky: one factorization per design,
-    /// two panel-blocked triangular solves per time stamp. The
-    /// fill-reducing ordering (AMD vs RCM) is selected at analysis time
-    /// by predicted factor fill, at every problem size.
+    /// Supernodal sparse direct Cholesky under the AMD fill-reducing
+    /// ordering: one factorization per design, two panel-blocked
+    /// triangular solves per time stamp.
     DirectCholesky,
 }
 
@@ -158,21 +157,6 @@ impl TransientSimulator {
         })
     }
 
-    /// Solves `A v = rhs`, updating `v` in place. Returns
-    /// `(cg_iterations, relative_residual)` (zeros for the direct path).
-    fn solve_step(&self, rhs: &[f64], v: &mut [f64]) -> SimResult<(usize, f64)> {
-        match &self.solver {
-            SolverState::Cg { pre, opts } => {
-                Ok(cg::solve_warm(&self.matrix, rhs, v, pre, opts)?)
-            }
-            SolverState::Direct { chol } => {
-                v.copy_from_slice(rhs);
-                chol.solve_in_place(v);
-                Ok((0, 0.0))
-            }
-        }
-    }
-
     /// Solves `A V = RHS` for `k` interleaved right-hand sides against the
     /// single shared factorization. Returns the worst `(iterations,
     /// residual)` across the batch (zeros for the direct path). `rhs` is
@@ -204,11 +188,9 @@ impl TransientSimulator {
     }
 
     /// Folds every solver setting that affects numeric output — solver
-    /// kind plus, for CG, tolerance and iteration budget, and for the
-    /// direct path, the fill ordering the analysis selected — into `d`.
-    /// Part of the ground-truth cache key, so changing a solver constant
-    /// (or the ordering heuristic picking differently) invalidates cached
-    /// noise maps.
+    /// kind plus, for CG, tolerance and iteration budget — into `d`. Part
+    /// of the ground-truth cache key, so changing a solver constant
+    /// invalidates cached noise maps.
     pub fn digest_solver_settings(&self, d: &mut pdn_core::fsio::Digest) {
         match &self.solver {
             SolverState::Cg { opts, .. } => {
@@ -216,9 +198,12 @@ impl TransientSimulator {
                 d.update_f64(opts.tolerance);
                 d.update_u64(opts.max_iterations as u64);
             }
-            SolverState::Direct { chol } => {
+            SolverState::Direct { .. } => {
+                // "amd" stays in the key although nothing else can be
+                // chosen: entries written when analysis still picked an
+                // ordering by fill carry it, and must keep hitting.
                 d.update_str("cholesky.supernodal");
-                d.update_str(chol.symbolic().ordering().name());
+                d.update_str("amd");
             }
         }
     }
@@ -234,70 +219,18 @@ impl TransientSimulator {
     }
 
     /// Runs the full transient and hands every step's node voltages to
-    /// `observer(step, voltages)`. The initial condition is the DC solution
-    /// of the vector's first time stamp, so traces start in steady state.
+    /// `observer(step, voltages)`: [`Self::run_batch_with`] with a single
+    /// vector.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::VectorMismatch`] if the vector's load count does
-    /// not match the grid, and propagates solver failures.
+    /// Same as [`Self::run_batch_with`].
     pub fn run_with<F: FnMut(usize, &[f64])>(
         &self,
         vector: &TestVector,
         mut observer: F,
     ) -> SimResult<TransientStats> {
-        if vector.load_count() != self.load_nodes.len() {
-            return Err(SimError::VectorMismatch {
-                expected: self.load_nodes.len(),
-                actual: vector.load_count(),
-            });
-        }
-        let mut span = telemetry::span("sim.transient.run");
-        span.field("steps", vector.step_count());
-        // DC initial condition from the first step's currents.
-        let mut v = self.dc.solve(vector.step(0))?;
-        // Initial bump branch currents from the DC solution.
-        // In DC the branch carries (vdd − v_node) / R; recover R = 1/g − L/Δt.
-        let mut ib: Vec<f64> = self
-            .bumps
-            .iter()
-            .map(|&(node, g, l_over_dt)| (self.vdd - v[node]) / (1.0 / g - l_over_dt))
-            .collect();
-
-        let mut stats = TransientStats::default();
-        let mut rhs = vec![0.0; self.node_count];
-        for k in 0..vector.step_count() {
-            // rhs = C/Δt v_prev − I_load(k) + Σ_b g_b (vdd + (L/Δt) i_b)
-            for (r, (c, vp)) in rhs.iter_mut().zip(self.cap_over_dt.iter().zip(&v)) {
-                *r = c * vp;
-            }
-            for (&node, &i) in self.load_nodes.iter().zip(vector.step(k)) {
-                rhs[node] -= i;
-            }
-            for (b, &(node, g, l_over_dt)) in self.bumps.iter().enumerate() {
-                rhs[node] += g * (self.vdd + l_over_dt * ib[b]);
-            }
-            let t_step = telemetry::enabled().then(std::time::Instant::now);
-            let (iters, resid) = self.solve_step(&rhs, &mut v)?;
-            if let Some(t) = t_step {
-                telemetry::observe_duration("sim.transient.step_seconds", t.elapsed());
-            }
-            stats.steps += 1;
-            stats.cg_iterations += iters;
-            stats.worst_residual = stats.worst_residual.max(resid);
-            // Update bump branch currents.
-            for (b, &(node, g, l_over_dt)) in self.bumps.iter().enumerate() {
-                ib[b] = g * (self.vdd - v[node] + l_over_dt * ib[b]);
-            }
-            observer(k, &v);
-        }
-        if telemetry::enabled() {
-            telemetry::counter_add("sim.transient.runs", 1);
-            telemetry::counter_add("sim.transient.steps", stats.steps as u64);
-            telemetry::counter_add("sim.transient.cg_iterations", stats.cg_iterations as u64);
-            telemetry::observe("sim.transient.worst_residual", stats.worst_residual);
-        }
-        Ok(stats)
+        self.run_batch_with(&[vector], |step, _, v| observer(step, v))
     }
 
     /// Runs the transient and collects every step's node-voltage vector.
@@ -307,22 +240,24 @@ impl TransientSimulator {
     ///
     /// Same as [`Self::run_with`].
     pub fn run_full(&self, vector: &TestVector) -> SimResult<(Vec<Vec<f64>>, TransientStats)> {
-        let mut out = Vec::with_capacity(vector.step_count());
-        let stats = self.run_with(vector, |_, v| out.push(v.to_vec()))?;
-        Ok((out, stats))
+        let (mut out, stats) = self.run_full_batch(&[vector])?;
+        Ok((out.pop().unwrap_or_default(), stats))
     }
 
     /// Marches `k` independent test vectors in lockstep against the single
     /// shared factorization, handing each step's voltages per vector to
-    /// `observer(step, vector_index, voltages)`.
+    /// `observer(step, vector_index, voltages)`. The initial condition is
+    /// each vector's DC solution at its first time stamp, so traces start
+    /// in steady state.
     ///
-    /// Every batched kernel underneath performs per-vector floating-point
-    /// operations in exactly the order of its single-vector counterpart, so
-    /// the observed voltages are bitwise identical to `k` separate
-    /// [`Self::run_with`] calls — the batch only amortizes matrix traffic.
-    /// The returned stats aggregate the batch: `cg_iterations` sums the
-    /// worst per-step iteration count, `worst_residual` is the maximum over
-    /// all vectors.
+    /// This is the engine's only time-march loop. Every batched kernel
+    /// underneath performs per-vector floating-point operations in exactly
+    /// the order of a `k = 1` run, so the observed voltages are bitwise
+    /// identical to `k` separate [`Self::run_with`] calls — the batch only
+    /// amortizes matrix traffic. The returned stats aggregate the batch:
+    /// `steps` counts lockstep steps, `cg_iterations` sums the worst
+    /// per-step iteration count, `worst_residual` is the maximum over all
+    /// vectors.
     ///
     /// # Errors
     ///
@@ -353,7 +288,7 @@ impl TransientSimulator {
                 });
             }
         }
-        let mut span = telemetry::span("sim.transient.batch");
+        let mut span = telemetry::span("sim.transient.run");
         span.field("vectors", k);
         span.field("steps", steps);
         let n = self.node_count;
@@ -365,6 +300,8 @@ impl TransientSimulator {
                 v[i * k + t] = x;
             }
         }
+        // Initial bump branch currents from the DC solution. In DC the
+        // branch carries (vdd − v_node) / R; recover R = 1/g − L/Δt.
         let mut ib = vec![0.0; self.bumps.len() * k];
         for (ibb, &(node, g, l_over_dt)) in ib.chunks_mut(k).zip(&self.bumps) {
             for (t, i) in ibb.iter_mut().enumerate() {
@@ -376,6 +313,7 @@ impl TransientSimulator {
         let mut rhs = vec![0.0; n * k];
         let mut col = vec![0.0; n];
         for step in 0..steps {
+            // rhs = C/Δt v_prev − I_load(step) + Σ_b g_b (vdd + (L/Δt) i_b).
             // Rewrites every entry: the previous solve left its residual here.
             for ((rb, vb), &c) in
                 rhs.chunks_mut(k).zip(v.chunks(k)).zip(&self.cap_over_dt)
@@ -397,7 +335,7 @@ impl TransientSimulator {
             let t_step = telemetry::enabled().then(std::time::Instant::now);
             let (iters, resid) = self.solve_step_multi(&mut rhs, &mut v, k)?;
             if let Some(t) = t_step {
-                telemetry::observe_duration("sim.transient.batch_step_seconds", t.elapsed());
+                telemetry::observe_duration("sim.transient.step_seconds", t.elapsed());
             }
             stats.steps += 1;
             stats.cg_iterations += iters;
@@ -413,12 +351,10 @@ impl TransientSimulator {
             }
         }
         if telemetry::enabled() {
-            telemetry::counter_add("sim.transient.batch_runs", 1);
-            telemetry::counter_add("sim.transient.batch_steps", stats.steps as u64);
-            telemetry::counter_add(
-                "sim.transient.batch_cg_iterations",
-                stats.cg_iterations as u64,
-            );
+            telemetry::counter_add("sim.transient.runs", 1);
+            telemetry::counter_add("sim.transient.steps", stats.steps as u64);
+            telemetry::counter_add("sim.transient.cg_iterations", stats.cg_iterations as u64);
+            telemetry::observe("sim.transient.worst_residual", stats.worst_residual);
             telemetry::observe("sim.transient.batch_width", k as f64);
         }
         Ok(stats)
@@ -572,14 +508,32 @@ mod tests {
         let mut dd = pdn_core::fsio::Digest::new();
         direct.digest_solver_settings(&mut dd);
         assert_ne!(dc.finish(), dd.finish(), "solver kinds must key differently");
-        // The direct digest must track the ordering the analysis picked:
-        // reproduce it by hand and check sensitivity to the ordering name.
-        let mut base = pdn_core::fsio::Digest::new();
-        base.update_str("cholesky.supernodal");
-        let mut with_ordering = base;
-        with_ordering.update_str("other-ordering");
-        assert_ne!(dd.finish(), base.finish());
-        assert_ne!(dd.finish(), with_ordering.finish());
+        // The direct digest is exactly the one written when analysis still
+        // chose between orderings and picked AMD, so those cache entries
+        // keep hitting.
+        let mut expected = pdn_core::fsio::Digest::new();
+        expected.update_str("cholesky.supernodal");
+        expected.update_str("amd");
+        assert_eq!(dd.finish(), expected.finish());
+    }
+
+    #[test]
+    fn amd_fill_on_tiny_presets_does_not_grow() {
+        // nnz(L) of each tiny preset (seed 1) when analysis still checked
+        // AMD against RCM; nothing catches a worse AMD order now but this.
+        use pdn_sparse::supernodal::SymbolicCholesky;
+        let pinned = [
+            (DesignPreset::D1, 8_119),
+            (DesignPreset::D2, 8_119),
+            (DesignPreset::D3, 9_383),
+            (DesignPreset::D4, 22_332),
+        ];
+        for (preset, max_nnz) in pinned {
+            let g = preset.spec(DesignScale::Tiny).build(1).unwrap();
+            let (a, _, _) = stamp_transient_system(&g).unwrap();
+            let nnz = SymbolicCholesky::analyze(&a).unwrap().factor_nnz();
+            assert!(nnz <= max_nnz, "{preset:?}: nnz(L) {nnz} > {max_nnz}");
+        }
     }
 
     #[test]

@@ -113,37 +113,13 @@ impl WnvRunner {
         &self.sim
     }
 
-    /// Runs WNV for one vector.
+    /// Runs WNV for one vector: [`Self::run_batch`] with a single vector.
     ///
     /// # Errors
     ///
     /// Propagates simulator failures (vector mismatch, non-convergence).
     pub fn run(&self, vector: &TestVector) -> SimResult<NoiseReport> {
-        let _span = pdn_core::telemetry::span("sim.wnv.run");
-        let start = Instant::now();
-        let mut worst = TileMap::zeros(self.tile_shape.0, self.tile_shape.1);
-        let vdd = self.vdd;
-        let bottom = self.bottom.clone();
-        let tiles = &self.node_tile_flat;
-        let stats = {
-            let data = worst.as_mut_slice();
-            self.sim.run_with(vector, |_, v| {
-                for n in bottom.clone() {
-                    let droop = vdd - v[n];
-                    let t = tiles[n];
-                    if droop > data[t] {
-                        data[t] = droop;
-                    }
-                }
-            })?
-        };
-        let max_noise = Volts(worst.max());
-        let elapsed = start.elapsed();
-        if pdn_core::telemetry::enabled() {
-            pdn_core::telemetry::counter_add("sim.wnv.vectors", 1);
-            pdn_core::telemetry::observe_duration("sim.wnv.run_seconds", elapsed);
-        }
-        Ok(NoiseReport { worst_noise: worst, max_noise, elapsed, stats })
+        Ok(self.run_batch(&[vector])?.swap_remove(0))
     }
 
     /// Runs WNV for a batch of vectors marched in lockstep against the
@@ -156,7 +132,7 @@ impl WnvRunner {
     ///
     /// Same as [`TransientSimulator::run_batch_with`].
     pub fn run_batch(&self, vectors: &[&TestVector]) -> SimResult<Vec<NoiseReport>> {
-        let mut span = pdn_core::telemetry::span("sim.wnv.batch");
+        let mut span = pdn_core::telemetry::span("sim.wnv.run");
         span.field("vectors", vectors.len());
         let start = Instant::now();
         let mut maps: Vec<TileMap> = (0..vectors.len())
@@ -178,14 +154,7 @@ impl WnvRunner {
         let elapsed = start.elapsed();
         if pdn_core::telemetry::enabled() {
             pdn_core::telemetry::counter_add("sim.wnv.vectors", vectors.len() as u64);
-            pdn_core::telemetry::counter_add("sim.wnv.batches", 1);
-            // How full each lockstep batch is relative to the default batch
-            // width — low occupancy means the group size leaves slots idle.
-            pdn_core::telemetry::observe(
-                "sim.wnv.batch_occupancy",
-                vectors.len() as f64 / DEFAULT_BATCH as f64,
-            );
-            pdn_core::telemetry::observe_duration("sim.wnv.batch_seconds", elapsed);
+            pdn_core::telemetry::observe_duration("sim.wnv.run_seconds", elapsed);
         }
         Ok(maps
             .into_iter()
@@ -232,13 +201,22 @@ impl WnvRunner {
             }
             // A span opened on a spawned worker has no parent (the span
             // stack is per-thread), so each chunk names its group; the
-            // batch and run spans below nest under the chunk.
+            // run spans below nest under the chunk.
             let mut chunk_span = pdn_core::telemetry::span("sim.wnv.chunk");
             chunk_span.field("vectors", chunk.len());
             if let Some(group) = group {
                 chunk_span.field("group", group);
             }
             let reports = if chunk.iter().all(|v| v.step_count() == chunk[0].step_count()) {
+                // How full each lockstep batch is relative to the default
+                // batch width — low occupancy means the group size leaves
+                // slots idle.
+                if pdn_core::telemetry::enabled() {
+                    pdn_core::telemetry::observe(
+                        "sim.wnv.batch_occupancy",
+                        chunk.len() as f64 / DEFAULT_BATCH as f64,
+                    );
+                }
                 let refs: Vec<&TestVector> = chunk.iter().collect();
                 self.run_batch(&refs)
             } else {

@@ -4,8 +4,8 @@
 //! For the repeated solves of transient analysis (same matrix, hundreds of
 //! right-hand sides, paper §2) a direct factorization amortizes beautifully:
 //! one factorization, then two sparse triangular solves per time stamp.
-//! Combine with [`crate::ordering::reverse_cuthill_mckee`] to keep fill-in
-//! bounded on mesh-like PDN matrices.
+//! Combine with [`crate::amd::amd`] to keep fill-in bounded on mesh-like
+//! PDN matrices.
 
 use crate::csr::CsrMatrix;
 use crate::error::{SolveError, SparseResult};
@@ -403,21 +403,20 @@ mod tests {
     }
 
     #[test]
-    fn rcm_reduces_fill_on_shuffled_grid() {
-        use crate::ordering::reverse_cuthill_mckee;
+    fn amd_reduces_fill_on_shuffled_grid() {
+        use crate::amd::amd;
         let a = grid_laplacian(12, 12, 0.5);
         let n = a.n_rows();
-        // Scramble, then compare fill with and without RCM.
+        // Scramble, then compare fill with and without AMD.
         let mut perm: Vec<usize> = (0..n).collect();
         perm.sort_by_key(|&v| (v * 37) % n);
         let shuffled = a.permute_symmetric(&perm);
         let plain = SparseCholesky::factor(&shuffled).unwrap();
-        let rcm = reverse_cuthill_mckee(&shuffled);
-        let ordered = shuffled.permute_symmetric(&rcm);
+        let ordered = shuffled.permute_symmetric(&amd(&shuffled));
         let better = SparseCholesky::factor(&ordered).unwrap();
         assert!(
             better.nnz() < plain.nnz(),
-            "rcm fill {} should beat shuffled fill {}",
+            "amd fill {} should beat shuffled fill {}",
             better.nnz(),
             plain.nnz()
         );

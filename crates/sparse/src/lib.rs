@@ -17,9 +17,8 @@
 //!   refactor split and threaded multi-RHS sweeps;
 //! * [`ichol::IncompleteCholesky`] — zero-fill IC(0) preconditioner;
 //! * [`cg`] — preconditioned conjugate gradient, the workhorse solver;
-//! * [`ordering`] / [`mindeg`] / [`amd`] — reverse Cuthill–McKee,
-//!   explicit-clique minimum-degree, and quotient-graph approximate
-//!   minimum degree (the paper-scale fill-reducing ordering).
+//! * [`amd`] — quotient-graph approximate minimum degree, the
+//!   fill-reducing ordering of the supernodal factor.
 //!
 //! # Example
 //!
@@ -49,8 +48,6 @@ pub mod csr;
 pub mod dense;
 pub mod error;
 pub mod ichol;
-pub mod mindeg;
-pub mod ordering;
 pub mod panel;
 pub mod supernodal;
 pub mod vecops;
@@ -61,4 +58,4 @@ pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use error::{SolveError, SparseResult};
 pub use ichol::IncompleteCholesky;
-pub use supernodal::{FillOrdering, OrderingSelection, SupernodalCholesky, SymbolicCholesky};
+pub use supernodal::{SupernodalCholesky, SymbolicCholesky};

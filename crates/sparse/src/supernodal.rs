@@ -8,11 +8,11 @@
 //! all the machine's floating-point width idle. This module instead:
 //!
 //! 1. **analyzes once** per grid structure ([`SymbolicCholesky::analyze`]):
-//!    picks a fill-reducing ordering at runtime (AMD vs RCM by predicted
-//!    factor fill, at every size), postorders the elimination tree, detects
-//!    *supernodes* — runs of columns with identical below-diagonal
-//!    structure — and relaxes them by amalgamating small neighbours into
-//!    wider panels at a bounded padding cost;
+//!    orders the matrix by approximate minimum degree ([`crate::amd`]),
+//!    postorders the elimination tree, detects *supernodes* — runs of
+//!    columns with identical below-diagonal structure — and relaxes them
+//!    by amalgamating small neighbours into wider panels at a bounded
+//!    padding cost;
 //! 2. **factors per value change** ([`SupernodalCholesky::factor_with`] /
 //!    [`SupernodalCholesky::refactor`]): a left-looking pass over dense
 //!    column panels driven by the [`crate::panel`] GEMM/SYRK/TRSM kernels,
@@ -33,8 +33,6 @@ use crate::amd::amd;
 use crate::cholesky::elimination_tree;
 use crate::csr::CsrMatrix;
 use crate::error::{SolveError, SparseResult};
-use crate::mindeg::minimum_degree;
-use crate::ordering::reverse_cuthill_mckee;
 use crate::panel;
 use std::sync::Arc;
 
@@ -58,61 +56,6 @@ const AMALGAMATION_RELAX: f64 = 0.25;
 /// (fixed) but never on the thread count.
 pub const SWEEP_BLOCK: usize = 16;
 
-/// Fill-reducing ordering applied (internally) by the supernodal factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FillOrdering {
-    /// Keep the matrix's natural order (tests / already-ordered inputs).
-    Natural,
-    /// Reverse Cuthill–McKee: linear-time, bandwidth-oriented; the
-    /// fallback when its predicted fill beats AMD's (rare on meshes).
-    Rcm,
-    /// Greedy explicit-clique minimum degree: excellent fill, but the
-    /// implementation turns quadratic past its bitset fast path (~16 k
-    /// nodes), so it is opt-in rather than auto-selected.
-    MinimumDegree,
-    /// Approximate minimum degree ([`crate::amd`]): quotient-graph
-    /// complexity with near-mindeg fill — the paper-scale default
-    /// whenever its predicted fill wins.
-    Amd,
-}
-
-impl FillOrdering {
-    /// Stable name, used in solver-settings digests and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FillOrdering::Natural => "natural",
-            FillOrdering::Rcm => "rcm",
-            FillOrdering::MinimumDegree => "mindeg",
-            FillOrdering::Amd => "amd",
-        }
-    }
-
-    /// Stable numeric id for the `factor.ordering` telemetry gauge
-    /// (gauges carry `f64`, so the name itself cannot be exported).
-    pub fn telemetry_index(self) -> usize {
-        match self {
-            FillOrdering::Natural => 0,
-            FillOrdering::Rcm => 1,
-            FillOrdering::MinimumDegree => 2,
-            FillOrdering::Amd => 3,
-        }
-    }
-}
-
-/// Outcome of the automatic ordering comparison run by
-/// [`SymbolicCholesky::analyze`]: both candidates' predicted fill and the
-/// winner. Only present on auto-analyzed symbolics —
-/// [`SymbolicCholesky::analyze_with`] skips the comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OrderingSelection {
-    /// The ordering that won the comparison.
-    pub ordering: FillOrdering,
-    /// Predicted nnz(L) (diagonal included) under RCM.
-    pub rcm_nnz: usize,
-    /// Predicted nnz(L) under AMD.
-    pub amd_nnz: usize,
-}
-
 /// The structure-only half of the factorization: ordering, elimination
 /// tree, supernode partition and panel layout. Analyze once per grid
 /// structure, then run any number of numeric factorizations against it
@@ -120,9 +63,8 @@ pub struct OrderingSelection {
 #[derive(Debug)]
 pub struct SymbolicCholesky {
     n: usize,
-    /// Composed permutation (fill ordering ∘ etree postorder), `perm[new] = old`.
+    /// Composed permutation (AMD ∘ etree postorder), `perm[new] = old`.
     perm: Vec<usize>,
-    ordering: FillOrdering,
     /// Supernode `s` covers permuted columns `sn_ptr[s]..sn_ptr[s + 1]`.
     sn_ptr: Vec<usize>,
     /// Permuted column → supernode index.
@@ -139,69 +81,23 @@ pub struct SymbolicCholesky {
     factor_nnz: usize,
     /// Tallest panel, in rows (sizes the factor's update scratch).
     max_height: usize,
-    /// Comparison record when the ordering was auto-selected.
-    selection: Option<OrderingSelection>,
 }
 
 impl SymbolicCholesky {
-    /// Analyzes a symmetric positive-definite matrix, selecting the fill
-    /// ordering at runtime: AMD and RCM both have their factor fill
-    /// predicted from an O(nnz(L)) symbolic pass, and the smaller one
-    /// wins — at every size; both candidates have near-linear ordering
-    /// cost, so no cutoff excludes the comparison at paper scale. The
-    /// comparison is recorded on the result
-    /// ([`SymbolicCholesky::selection`]) and exported through the
-    /// `factor.ordering` / `factor.predicted_nnz_l.{rcm,amd}` telemetry
-    /// gauges.
+    /// Analyzes a symmetric positive-definite matrix under the approximate
+    /// minimum degree ordering ([`crate::amd`]).
     ///
     /// # Errors
     ///
     /// Returns [`SolveError::DimensionMismatch`] for non-square input.
     pub fn analyze(a: &CsrMatrix) -> SparseResult<SymbolicCholesky> {
         check_square(a)?;
-        let rcm_perm = reverse_cuthill_mckee(a);
-        let amd_perm = amd(a);
-        let rcm_nnz = predicted_factor_nnz(a, &rcm_perm);
-        let amd_nnz = predicted_factor_nnz(a, &amd_perm);
-        let (ordering, p0) = if amd_nnz <= rcm_nnz {
-            (FillOrdering::Amd, amd_perm)
-        } else {
-            (FillOrdering::Rcm, rcm_perm)
-        };
-        pdn_core::telemetry::gauge_set("factor.ordering", ordering.telemetry_index() as f64);
-        pdn_core::telemetry::gauge_set("factor.predicted_nnz_l.rcm", rcm_nnz as f64);
-        pdn_core::telemetry::gauge_set("factor.predicted_nnz_l.amd", amd_nnz as f64);
-        let mut sym = SymbolicCholesky::analyze_perm(a, ordering, p0)?;
-        sym.selection = Some(OrderingSelection { ordering, rcm_nnz, amd_nnz });
-        Ok(sym)
+        Ok(SymbolicCholesky::analyze_perm(a, amd(a)))
     }
 
-    /// Like [`SymbolicCholesky::analyze`] with an explicit ordering choice
-    /// (no comparison is run, so [`SymbolicCholesky::selection`] is
-    /// `None`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::DimensionMismatch`] for non-square input.
-    pub fn analyze_with(a: &CsrMatrix, ordering: FillOrdering) -> SparseResult<SymbolicCholesky> {
-        check_square(a)?;
-        let n = a.n_rows();
-        let p0: Vec<usize> = match ordering {
-            FillOrdering::Natural => (0..n).collect(),
-            FillOrdering::Rcm => reverse_cuthill_mckee(a),
-            FillOrdering::MinimumDegree => minimum_degree(a),
-            FillOrdering::Amd => amd(a),
-        };
-        SymbolicCholesky::analyze_perm(a, ordering, p0)
-    }
-
-    /// Shared back half of the analysis, starting from an already-computed
-    /// fill permutation `p0` (`p0[new] = old`).
-    fn analyze_perm(
-        a: &CsrMatrix,
-        ordering: FillOrdering,
-        p0: Vec<usize>,
-    ) -> SparseResult<SymbolicCholesky> {
+    /// Back half of the analysis, starting from the fill permutation `p0`
+    /// (`p0[new] = old`).
+    fn analyze_perm(a: &CsrMatrix, p0: Vec<usize>) -> SymbolicCholesky {
         let n = a.n_rows();
         debug_assert_eq!(p0.len(), n);
         // Postorder the elimination tree so supernodes become contiguous
@@ -363,10 +259,9 @@ impl SymbolicCholesky {
         // entry is n exactly when every column was assigned.
         debug_assert_eq!(sn_ptr.last().copied(), Some(n));
 
-        Ok(SymbolicCholesky {
+        SymbolicCholesky {
             n,
             perm,
-            ordering,
             sn_ptr,
             col_to_sn,
             rows_ptr,
@@ -374,25 +269,12 @@ impl SymbolicCholesky {
             panel_ptr,
             factor_nnz,
             max_height,
-            selection: None,
-        })
+        }
     }
 
     /// Dimension of the analyzed system.
     pub fn dim(&self) -> usize {
         self.n
-    }
-
-    /// The fill ordering this analysis applied.
-    pub fn ordering(&self) -> FillOrdering {
-        self.ordering
-    }
-
-    /// The RCM-vs-AMD comparison behind an auto-selected ordering, or
-    /// `None` when the caller fixed the ordering via
-    /// [`SymbolicCholesky::analyze_with`].
-    pub fn selection(&self) -> Option<OrderingSelection> {
-        self.selection
     }
 
     /// Number of supernodes.
@@ -955,23 +837,6 @@ impl EtreeWalker {
     }
 }
 
-/// Predicted factor fill (nnz of `L`, diagonal included) for `a` under
-/// `perm` — the symbolic quantity [`SymbolicCholesky::analyze`] compares
-/// across candidate orderings.
-pub fn predicted_factor_nnz(a: &CsrMatrix, perm: &[usize]) -> usize {
-    let ap = a.permute_symmetric(perm);
-    let n = ap.n_rows();
-    let parent = elimination_tree(&ap);
-    let mut walker = EtreeWalker::new(n);
-    let mut reach = Vec::new();
-    let mut nnz = n; // diagonal
-    for k in 0..n {
-        walker.reach_into(&ap, k, &parent, &mut reach);
-        nnz += reach.len();
-    }
-    nnz
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1020,25 +885,16 @@ mod tests {
     }
 
     #[test]
-    fn matches_simplicial_on_grid_all_orderings() {
+    fn matches_simplicial_on_grid() {
         let a = grid_laplacian(9, 7, 0.6);
         let n = a.n_rows();
         let simplicial = SparseCholesky::factor(&a).unwrap();
-        for ordering in [
-            FillOrdering::Natural,
-            FillOrdering::Rcm,
-            FillOrdering::MinimumDegree,
-            FillOrdering::Amd,
-        ] {
-            let sym = Arc::new(SymbolicCholesky::analyze_with(&a, ordering).unwrap());
-            assert_eq!(sym.ordering(), ordering);
-            let chol = SupernodalCholesky::factor_with(sym, &a).unwrap();
-            let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 11) as f64 - 5.0).collect();
-            let expect = simplicial.solve(&b);
-            let got = chol.solve(&b);
-            for (g, e) in got.iter().zip(&expect) {
-                assert!((g - e).abs() < 1e-10, "{ordering:?}: {g} vs {e}");
-            }
+        let chol = SupernodalCholesky::factor(&a).unwrap();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 11) as f64 - 5.0).collect();
+        let expect = simplicial.solve(&b);
+        let got = chol.solve(&b);
+        for (g, e) in got.iter().zip(&expect) {
+            assert!((g - e).abs() < 1e-10, "{g} vs {e}");
         }
     }
 
@@ -1168,46 +1024,6 @@ mod tests {
         assert!(sym.factor_nnz() <= sym.panel_nnz());
         // The factor must hold at least the matrix's lower triangle.
         assert!(sym.factor_nnz() >= (a.nnz() + a.n_rows()) / 2);
-        // Auto-selection on a mesh picks one of the two real orderings.
-        assert_ne!(sym.ordering(), FillOrdering::Natural);
-    }
-
-    #[test]
-    fn predicted_fill_prefers_amd_on_grids() {
-        // On 2-D meshes minimum-degree-class orderings produce less fill
-        // than RCM; the auto analysis must therefore select AMD, and must
-        // publish the comparison it ran.
-        let a = grid_laplacian(14, 14, 0.4);
-        let rcm = predicted_factor_nnz(&a, &reverse_cuthill_mckee(&a));
-        let amd_fill = predicted_factor_nnz(&a, &amd(&a));
-        assert!(amd_fill < rcm, "amd {amd_fill} should beat rcm {rcm} on a grid");
-        let sym = SymbolicCholesky::analyze(&a).unwrap();
-        assert_eq!(sym.ordering(), FillOrdering::Amd);
-        let sel = sym.selection().expect("auto analysis records its comparison");
-        assert_eq!(sel.ordering, FillOrdering::Amd);
-        assert_eq!(sel.rcm_nnz, rcm);
-        assert_eq!(sel.amd_nnz, amd_fill);
-        // A fixed ordering skips the comparison.
-        let fixed = SymbolicCholesky::analyze_with(&a, FillOrdering::Rcm).unwrap();
-        assert_eq!(fixed.selection(), None);
-    }
-
-    #[test]
-    fn auto_selection_has_no_size_cutoff() {
-        // Regression for the old MINDEG_AUTO_LIMIT: above 16 384 unknowns
-        // the analysis silently fell back to RCM without predicting fill.
-        // A 150x150 grid (22 500 nodes) sits past that boundary; the
-        // fill comparison must still run and still pick AMD.
-        let a = grid_laplacian(150, 150, 0.4);
-        let sym = SymbolicCholesky::analyze(&a).unwrap();
-        let sel = sym.selection().expect("comparison must run at every size");
-        assert_eq!(sel.ordering, FillOrdering::Amd);
-        assert!(
-            sel.amd_nnz < sel.rcm_nnz,
-            "amd {} should beat rcm {} at 22.5k nodes",
-            sel.amd_nnz,
-            sel.rcm_nnz
-        );
     }
 
     proptest! {
@@ -1219,8 +1035,8 @@ mod tests {
             seed in 0u64..100,
         ) {
             // Shuffle the grid's node numbering so AMD sees an arbitrary
-            // input order, then check the supernodal factor under
-            // FillOrdering::Amd against the simplicial reference.
+            // input order, then check the supernodal factor against the
+            // simplicial reference.
             let g = grid_laplacian(rows, cols, 0.6);
             let n = g.n_rows();
             let mut shuffle: Vec<usize> = (0..n).collect();
@@ -1229,9 +1045,7 @@ mod tests {
                 shuffle.swap(i, rng.gen_range(0..i + 1));
             }
             let a = g.permute_symmetric(&shuffle);
-            let sym = Arc::new(SymbolicCholesky::analyze_with(&a, FillOrdering::Amd).unwrap());
-            prop_assert_eq!(sym.ordering(), FillOrdering::Amd);
-            let chol = SupernodalCholesky::factor_with(sym, &a).unwrap();
+            let chol = SupernodalCholesky::factor(&a).unwrap();
             let simplicial = SparseCholesky::factor(&a).unwrap();
             let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 11) as f64 - 5.0).collect();
             let expect = simplicial.solve(&b);

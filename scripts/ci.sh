@@ -79,28 +79,22 @@ fi
 echo "direct solver: distinct digest, store on run 1, hit on run 2"
 
 echo
-echo "== amd ordering smoke =="
-# Forced AMD: the factor path must run end to end under the quotient-graph
-# ordering and say so.
-amd_out="$(./target/release/pdn factor --design D1 --rhs 4 --ordering amd)" \
-    || { echo "amd smoke: forced-amd factor failed"; exit 1; }
-grep -q 'ordering amd' <<<"$amd_out" \
-    || { echo "amd smoke: forced run did not report ordering amd"; echo "$amd_out"; exit 1; }
-# Auto selection: the RCM-vs-AMD comparison must run (printed and exported
-# via the factor.ordering / factor.predicted_nnz_l.* gauges). On a PDN mesh
-# AMD wins, so the gauge must carry its index (3).
-amd_t="$cache_dir/amd_factor.jsonl"
-auto_out="$(./target/release/pdn factor --design D1 --rhs 4 --telemetry "$amd_t")" \
-    || { echo "amd smoke: auto factor failed"; exit 1; }
-grep -q 'compare : predicted nnz(L) rcm .* vs amd .* -> amd' <<<"$auto_out" \
-    || { echo "amd smoke: auto run did not print the ordering comparison"; echo "$auto_out"; exit 1; }
-grep -q '"name":"factor.ordering","value":3' "$amd_t" \
-    || { echo "amd smoke: factor.ordering gauge missing or not amd"; exit 1; }
-grep -q '"name":"factor.predicted_nnz_l.rcm"' "$amd_t" \
-    || { echo "amd smoke: rcm predicted-fill gauge missing"; exit 1; }
-grep -q '"name":"factor.predicted_nnz_l.amd"' "$amd_t" \
-    || { echo "amd smoke: amd predicted-fill gauge missing"; exit 1; }
-echo "amd ordering: forced leg ok, auto-compare picked amd and exported both fills"
+echo "== factor smoke =="
+# The direct factor path runs end to end under AMD, its only fill
+# ordering, and exports its fill. The retired --ordering flag must fail as
+# an unknown flag rather than be silently ignored.
+factor_t="$cache_dir/factor.jsonl"
+./target/release/pdn factor --design D1 --rhs 4 --telemetry "$factor_t" >/dev/null \
+    || { echo "factor smoke: factor failed"; exit 1; }
+grep -q '"name":"factor.nnz_l"' "$factor_t" \
+    || { echo "factor smoke: factor.nnz_l gauge missing"; exit 1; }
+if ordering_err="$(./target/release/pdn factor --design D1 --rhs 4 --ordering amd 2>&1)"; then
+    echo "factor smoke: --ordering was accepted"
+    exit 1
+fi
+grep -q 'does not take --ordering' <<<"$ordering_err" \
+    || { echo "factor smoke: --ordering not rejected as unknown"; echo "$ordering_err"; exit 1; }
+echo "factor: amd factor exported factor.nnz_l, --ordering rejected as unknown"
 
 echo
 echo "== quantization accuracy smoke =="

@@ -1,7 +1,7 @@
 //! `pdn` — command-line front end for the worst-case noise toolkit.
 //!
 //! ```text
-//! pdn info     --design D1 [--scale tiny|ci|paper]
+//! pdn info     --design D1 [--scale tiny|ci|full|paper]
 //! pdn simulate --design D1 [--scale ...] [--steps N] [--seed S] [--out DIR]
 //! pdn train    --design D1 [--scale ...] [--vectors N] [--epochs E] --out MODEL
 //! pdn predict  --model MODEL --design D1 [--scale ...] [--seed S] [--out DIR]
@@ -53,22 +53,24 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  pdn info            --design D1..D4 [--scale tiny|ci|paper]
+  pdn info            --design D1..D4 [--scale tiny|ci|full|paper] [--seed K]
   pdn simulate        --design D1..D4 [--scale S] [--steps N] [--seed K]
                       [--vector FILE.csv] [--out DIR] [--solver cg|direct]
   pdn factor          --design D1..D4 [--scale S] [--seed K] [--rhs N]
-                      [--ordering auto|natural|rcm|mindeg|amd]
-  pdn train           --design D1..D4 [--scale S] [--vectors N] [--epochs E] --out MODEL
+  pdn train           --design D1..D4 [--scale S] [--vectors N] [--steps N]
+                      [--epochs E] [--seed K] --out MODEL
                       [--cache-dir DIR|none] [--solver cg|direct]
                       [--checkpoint FILE.ckpt] [--checkpoint-every N]
                       [--checkpoint-keep K] [--resume true]
-  pdn eval            --design D1..D4 [--scale S] [--vectors N] [--epochs E]
+  pdn eval            --design D1..D4 [--scale S] [--vectors N] [--steps N]
+                      [--epochs E] [--seed K]
                       [--cache-dir DIR|none] [--solver cg|direct]
                       [--checkpoint FILE.ckpt] [--checkpoint-every N]
                       [--checkpoint-keep K] [--resume true]
                       [--precision f16|int8|all]
   pdn predict         --model MODEL --design D1..D4 [--scale S] [--seed K]
-                      [--vector FILE.csv] [--out DIR] [--precision f32|f16|int8]
+                      [--steps N] [--vector FILE.csv] [--out DIR]
+                      [--precision f32|f16|int8]
   pdn serve           --model MODEL --design D1..D4 [--scale S]
                       [--addr HOST:PORT] [--workers N] [--max-batch B]
                       [--max-wait-ms MS] [--max-queue N]
@@ -77,20 +79,23 @@ const USAGE: &str = "usage:
                       [--cache-dir DIR|none] [--solver cg|direct]
   pdn cache stats     [--cache-dir DIR]
   pdn cache gc        [--cache-dir DIR] [--max-mb MB] [--max-age-days D]
-  pdn export-netlist  --design D1..D4 [--scale S] --out FILE.sp
+  pdn export-netlist  --design D1..D4 [--scale S] [--seed K] --out FILE.sp
   pdn export-vector   --design D1..D4 [--scale S] [--steps N] [--seed K] --out FILE.csv
   pdn report          RUN.jsonl [BASELINE.jsonl] [--out REPORT.md] [--trace TRACE.json]
                       [--slow-ratio R] [--strict true]
 
+--scale S is one of tiny (the default), ci, full or paper. A flag that the
+command's usage line does not list is an error.
+
 `pdn simulate --solver direct` switches the transient engine from the
 default warm-started PCG to the supernodal direct Cholesky (factor once,
 two panel-blocked triangular solves per time stamp). `pdn factor` runs
-just the factor-once/solve-many hot path — symbolic analysis, numeric
-factorization, and an N-RHS solve sweep (default 1000) — and prints each
-phase's wall clock; use `--scale full` for a paper-D1-class feasibility
-run. PDN_THREADS fans the sweep's RHS blocks across threads.
+just the factor-once/solve-many hot path — AMD-ordered symbolic analysis,
+numeric factorization, and an N-RHS solve sweep (default 1000) — and
+prints each phase's wall clock; use `--scale full` for a paper-D1-class
+feasibility run. PDN_THREADS fans the sweep's RHS blocks across threads.
 
-every command (except report) also accepts:
+every command except report and cache also accepts:
   --telemetry FILE.jsonl   record per-stage timing, trace spans, solver and
                            training metrics to FILE.jsonl and print a summary
                            table (PDN_TELEMETRY=<path|1> does the same from
@@ -144,7 +149,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         // `cache` takes a positional subcommand and only touches files.
         return cache_cmd(rest);
     }
-    let opts = parse_flags(rest)?;
+    let opts = parse_flags(command, rest, &["telemetry"])?;
     if let Some(path) = opts.get("telemetry") {
         telemetry::enable_with_sink(Path::new(path))
             .map_err(|e| format!("--telemetry {path}: {e}"))?;
@@ -226,6 +231,7 @@ fn report_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if let Some(name) = arg.strip_prefix("--") {
+            check_flag("report", name, &[])?;
             let Some(value) = it.next() else {
                 return Err(format!("flag --{name} needs a value").into());
             };
@@ -282,13 +288,74 @@ fn report_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, Box<dyn std::error::Error>> {
+/// A flag that the command's usage lines do not list.
+#[derive(Debug)]
+struct UnknownFlag {
+    command: String,
+    flag: String,
+}
+
+impl std::fmt::Display for UnknownFlag {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "`pdn {}` does not take --{}", self.command, self.flag)
+    }
+}
+
+impl std::error::Error for UnknownFlag {}
+
+/// The flags `command` takes: every `--name` on its lines of [`USAGE`]
+/// (the `pdn <command>` line and its indented continuations). `None` for
+/// a command without a usage line.
+fn usage_flags(command: &str) -> Option<Vec<&'static str>> {
+    const CONTINUATION: &str = "                      ";
+    let mut flags = Vec::new();
+    let mut found = false;
+    let mut ours = false;
+    for line in USAGE.lines() {
+        if let Some(rest) = line.trim_start().strip_prefix("pdn ") {
+            // The command column ends where its padding starts.
+            ours = rest.split("  ").next() == Some(command);
+            found |= ours;
+        } else if !line.starts_with(CONTINUATION) {
+            ours = false;
+        }
+        if ours {
+            let is_name = |c: char| c == '-' || c.is_ascii_alphanumeric();
+            flags.extend(line.split("--").skip(1).filter_map(|f| f.split(|c| !is_name(c)).next()));
+        }
+    }
+    found.then_some(flags)
+}
+
+/// Fails unless `command`'s usage lines list `--flag` or `also` adds it.
+fn check_flag(
+    command: &str,
+    flag: &str,
+    also: &[&str],
+) -> Result<(), Box<dyn std::error::Error>> {
+    let Some(listed) = usage_flags(command) else {
+        return Err(format!("unknown command `{command}`").into());
+    };
+    if listed.contains(&flag) || also.contains(&flag) {
+        return Ok(());
+    }
+    Err(UnknownFlag { command: command.to_string(), flag: flag.to_string() }.into())
+}
+
+/// Parses `command`'s `--name value` pairs, rejecting flags it does not
+/// take (see [`check_flag`]).
+fn parse_flags(
+    command: &str,
+    args: &[String],
+    also: &[&str],
+) -> Result<HashMap<String, String>, Box<dyn std::error::Error>> {
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{flag}`").into());
         };
+        check_flag(command, name, also)?;
         let Some(value) = it.next() else {
             return Err(format!("flag --{name} needs a value").into());
         };
@@ -360,7 +427,7 @@ fn cache_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let Some((verb, rest)) = args.split_first() else {
         return Err("cache needs a subcommand (stats|gc)".into());
     };
-    let opts = parse_flags(rest)?;
+    let opts = parse_flags(&format!("cache {verb}"), rest, &[])?;
     let Some(cache) = cache_from_opts(&opts)? else {
         return Err("caching is disabled (--cache-dir/PDN_CACHE_DIR is none)".into());
     };
@@ -492,24 +559,15 @@ fn simulate(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Er
 }
 
 /// `pdn factor`: the factor-once/solve-many hot path in isolation —
-/// stamps the transient system, runs the symbolic analysis, the supernodal
-/// numeric factorization, and an `--rhs N` solve sweep, reporting phase
-/// wall clocks and factor fill (also recorded as telemetry spans/gauges).
+/// stamps the transient system, runs the AMD-ordered symbolic analysis,
+/// the supernodal numeric factorization, and an `--rhs N` solve sweep,
+/// reporting phase wall clocks and factor fill (also recorded as telemetry
+/// spans/gauges).
 fn factor(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>> {
-    use pdn_wnv::sparse::supernodal::{FillOrdering, SupernodalCholesky, SymbolicCholesky};
+    use pdn_wnv::sparse::supernodal::{SupernodalCholesky, SymbolicCholesky};
     let preset = design(opts)?;
     let nrhs = parse(opts, "rhs", 1000usize)?;
     let seed = parse(opts, "seed", 1u64)?;
-    let ordering: Option<FillOrdering> = match opts.get("ordering").map(String::as_str) {
-        None | Some("auto") => None,
-        Some("natural") => Some(FillOrdering::Natural),
-        Some("rcm") => Some(FillOrdering::Rcm),
-        Some("mindeg") => Some(FillOrdering::MinimumDegree),
-        Some("amd") => Some(FillOrdering::Amd),
-        Some(other) => {
-            return Err(format!("unknown ordering `{other}` (auto|natural|rcm|mindeg|amd)").into())
-        }
-    };
     let grid = try_stage("build_grid", || -> Result<_, Box<dyn std::error::Error>> {
         Ok(preset.spec(scale(opts)?).build(seed)?)
     })?;
@@ -519,25 +577,13 @@ fn factor(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Erro
     println!("matrix  : {} nnz", matrix.nnz());
 
     let t0 = Instant::now();
-    let sym = try_stage("analyze", || match ordering {
-        None => SymbolicCholesky::analyze(&matrix),
-        Some(ord) => SymbolicCholesky::analyze_with(&matrix, ord),
-    })?;
+    let sym = try_stage("analyze", || SymbolicCholesky::analyze(&matrix))?;
     let t_analyze = t0.elapsed();
     telemetry::gauge_set("factor.nnz_l", sym.factor_nnz() as f64);
     telemetry::gauge_set("factor.panel_nnz", sym.panel_nnz() as f64);
-    if let Some(sel) = sym.selection() {
-        println!(
-            "compare : predicted nnz(L) rcm {} vs amd {} -> {}",
-            sel.rcm_nnz,
-            sel.amd_nnz,
-            sel.ordering.name(),
-        );
-    }
     println!(
-        "analyze : {:.2}s — ordering {}, {} supernodes, nnz(L) {} ({:.2} GiB panels)",
+        "analyze : {:.2}s — ordering amd, {} supernodes, nnz(L) {} ({:.2} GiB panels)",
         t_analyze.as_secs_f64(),
-        sym.ordering().name(),
         sym.n_supernodes(),
         sym.factor_nnz(),
         sym.panel_nnz() as f64 * 8.0 / (1024.0 * 1024.0 * 1024.0),
@@ -857,4 +903,26 @@ fn export_vector(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::erro
     pdn_wnv::vectors::io::write_csv_file(&vector, out)?;
     println!("wrote {} x {} test vector to {out}", vector.step_count(), vector.load_count());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::usage_flags;
+
+    #[test]
+    fn usage_lines_list_each_commands_flags() {
+        assert_eq!(usage_flags("factor").unwrap(), ["design", "scale", "seed", "rhs"]);
+        assert_eq!(usage_flags("cache gc").unwrap(), ["cache-dir", "max-mb", "max-age-days"]);
+        assert_eq!(usage_flags("report").unwrap(), ["out", "trace", "slow-ratio", "strict"]);
+        let train = usage_flags("train").unwrap();
+        for flag in ["design", "steps", "seed", "out", "resume"] {
+            assert!(train.contains(&flag), "train lacks --{flag}: {train:?}");
+        }
+        // `export-vector` must not pick up `export-netlist`'s line, nor
+        // `cache` either of its subcommands'.
+        let export_vector = usage_flags("export-vector").unwrap();
+        assert_eq!(export_vector, ["design", "scale", "steps", "seed", "out"]);
+        assert_eq!(usage_flags("cache"), None);
+        assert_eq!(usage_flags("bogus"), None);
+    }
 }
