@@ -16,8 +16,8 @@
 //!
 //! where `g_b = 1 / (R_b + L_b/Δt)` is the companion conductance of bump
 //! `b`'s series-RL package branch and `i_b` its branch-current state. The
-//! constant matrix is factored (IC(0)) once per design and every step is a
-//! warm-started preconditioned-CG solve.
+//! constant matrix is factored (relaxed MIC(0)) once per design and every
+//! step is a warm-started preconditioned-CG solve.
 //!
 //! * [`transient::TransientSimulator`] — the time-marching engine;
 //! * [`static_ir::StaticAnalysis`] — DC IR-drop solve (resistive only);

@@ -8,7 +8,7 @@ use pdn_grid::build::PowerGrid;
 use pdn_grid::stamp;
 use pdn_sparse::cg::{self, CgOptions};
 use pdn_sparse::csr::CsrMatrix;
-use pdn_sparse::ichol::IncompleteCholesky;
+use pdn_sparse::ichol::{IncompleteCholesky, MIC_RELAXATION};
 use pdn_sparse::supernodal::SupernodalCholesky;
 use pdn_sparse::vecops;
 use pdn_vectors::vector::TestVector;
@@ -20,8 +20,8 @@ use pdn_vectors::vector::TestVector;
 /// huge grids, direct factorization amortizes over many right-hand sides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
-    /// Warm-started conjugate gradient with an IC(0) preconditioner
-    /// (the default; scales to the largest grids).
+    /// Warm-started conjugate gradient with a relaxed MIC(0)
+    /// preconditioner (the default; scales to the largest grids).
     #[default]
     IterativeCg,
     /// Supernodal sparse direct Cholesky under the AMD fill-reducing
@@ -50,8 +50,8 @@ pub struct TransientStats {
 /// The time-marching simulator for one grid.
 ///
 /// Assembles `A = G + C/Δt + Σ g_b` once (the constant matrix of paper §2),
-/// factors the IC(0) preconditioner once, and then solves one warm-started
-/// CG system per time stamp.
+/// factors the relaxed MIC(0) preconditioner once, and then solves one
+/// warm-started CG system per time stamp.
 ///
 /// # Example
 ///
@@ -188,15 +188,17 @@ impl TransientSimulator {
     }
 
     /// Folds every solver setting that affects numeric output — solver
-    /// kind plus, for CG, tolerance and iteration budget — into `d`. Part
-    /// of the ground-truth cache key, so changing a solver constant
-    /// invalidates cached noise maps.
+    /// kind plus, for CG, tolerance, iteration budget and preconditioner —
+    /// into `d`. Part of the ground-truth cache key, so changing a solver
+    /// constant invalidates cached noise maps.
     pub fn digest_solver_settings(&self, d: &mut pdn_core::fsio::Digest) {
         match &self.solver {
             SolverState::Cg { opts, .. } => {
                 d.update_str("cg");
                 d.update_f64(opts.tolerance);
                 d.update_u64(opts.max_iterations as u64);
+                d.update_str("mic0");
+                d.update_f64(MIC_RELAXATION);
             }
             SolverState::Direct { .. } => {
                 // "amd" stays in the key although nothing else can be
@@ -515,6 +517,59 @@ mod tests {
         expected.update_str("cholesky.supernodal");
         expected.update_str("amd");
         assert_eq!(dd.finish(), expected.finish());
+    }
+
+    #[test]
+    fn cg_digest_misses_ic0_era_entries() {
+        // Noise maps cached under the IC(0) preconditioner were keyed by
+        // kind, tolerance and budget alone. They differ from today's maps
+        // by up to a solver tolerance, so they must miss rather than mix
+        // with maps from the relaxed MIC(0) factor.
+        let sim = TransientSimulator::new(&grid()).unwrap();
+        let mut d = pdn_core::fsio::Digest::new();
+        sim.digest_solver_settings(&mut d);
+        let mut ic0_era = pdn_core::fsio::Digest::new();
+        ic0_era.update_str("cg");
+        ic0_era.update_f64(1e-9);
+        ic0_era.update_u64(20_000);
+        assert_ne!(d.finish(), ic0_era.finish());
+    }
+
+    #[test]
+    fn mic_factor_succeeds_on_every_tiny_preset() {
+        for preset in [DesignPreset::D1, DesignPreset::D2, DesignPreset::D3, DesignPreset::D4] {
+            let g = preset.spec(DesignScale::Tiny).build(1).unwrap();
+            let (a, _, _) = stamp_transient_system(&g).unwrap();
+            if let Err(e) = IncompleteCholesky::factor(&a) {
+                panic!("{preset:?}: transient factor failed: {e}");
+            }
+            // The DC analysis factors the DC matrix the same way.
+            if let Err(e) = StaticAnalysis::new(&g) {
+                panic!("{preset:?}: DC factor failed: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn warm_cg_iterations_per_step_stay_below_ic0() {
+        // Warm CG iterations of a seeded D4-tiny vector (grid seed 1,
+        // vector seed 7, 120 steps). IC(0) took IC0_ITERATIONS at the last
+        // commit before the relaxed MIC(0) factor replaced it.
+        use pdn_vectors::generator::{GeneratorConfig, VectorGenerator};
+        const IC0_ITERATIONS: usize = 4_101;
+        const MIC_ITERATIONS: usize = 3_346;
+        let g = DesignPreset::D4.spec(DesignScale::Tiny).build(1).unwrap();
+        let gen = VectorGenerator::new(&g, GeneratorConfig { steps: 120, ..Default::default() });
+        let sim = TransientSimulator::new(&g).unwrap();
+        let stats = sim.run_with(&gen.generate(7), |_, _| {}).unwrap();
+        const { assert!(MIC_ITERATIONS < IC0_ITERATIONS) };
+        assert!(
+            stats.cg_iterations <= MIC_ITERATIONS,
+            "{} warm CG iterations over {} steps, pinned at {MIC_ITERATIONS} (IC(0): \
+             {IC0_ITERATIONS})",
+            stats.cg_iterations,
+            stats.steps
+        );
     }
 
     #[test]

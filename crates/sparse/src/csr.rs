@@ -1,6 +1,4 @@
-//! Compressed-sparse-row matrices with parallel mat-vec.
-
-use rayon::prelude::*;
+//! Compressed-sparse-row matrices and their mat-vec kernels.
 
 /// An immutable CSR matrix.
 ///
@@ -111,7 +109,7 @@ impl CsrMatrix {
         }
     }
 
-    /// `y = A x`, parallel over rows.
+    /// `y = A x`.
     ///
     /// # Panics
     ///
@@ -129,30 +127,40 @@ impl CsrMatrix {
     ///
     /// Panics if `x.len() != n_cols` or `y.len() != n_rows`.
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
+        self.mul_vec_kernel::<false>(x, y);
+    }
+
+    /// `y = A x`, returning `x·y` summed in row order, as
+    /// [`crate::vecops::dot`]`(x, y)` would in a second pass over both
+    /// vectors (CG's `p·Ap`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square or the lengths do not match it.
+    pub(crate) fn mul_vec_dot_into(&self, x: &[f64], y: &mut [f64]) -> f64 {
+        assert_eq!(self.n_rows, self.n_cols, "mul_vec_dot: matrix must be square");
+        self.mul_vec_kernel::<true>(x, y)
+    }
+
+    /// The one single-vector mat-vec loop; with `DOT` it also folds
+    /// `x[r]·y[r]` into a row-order sum (square matrices only).
+    fn mul_vec_kernel<const DOT: bool>(&self, x: &[f64], y: &mut [f64]) -> f64 {
         assert_eq!(x.len(), self.n_cols, "mul_vec: x length mismatch");
         assert_eq!(y.len(), self.n_rows, "mul_vec: y length mismatch");
-        // Parallel threshold: tiny systems are faster serial.
-        if self.n_rows >= 4096 {
-            y.par_iter_mut().enumerate().for_each(|(r, yr)| {
-                let lo = self.indptr[r];
-                let hi = self.indptr[r + 1];
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += self.values[k] * x[self.indices[k]];
-                }
-                *yr = acc;
-            });
-        } else {
-            for (r, yr) in y.iter_mut().enumerate() {
-                let lo = self.indptr[r];
-                let hi = self.indptr[r + 1];
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += self.values[k] * x[self.indices[k]];
-                }
-                *yr = acc;
+        let mut xy = 0.0;
+        for (r, yr) in y.iter_mut().enumerate() {
+            let lo = self.indptr[r];
+            let hi = self.indptr[r + 1];
+            let mut acc = 0.0;
+            for k in lo..hi {
+                acc += self.values[k] * x[self.indices[k]];
+            }
+            *yr = acc;
+            if DOT {
+                xy += x[r] * acc;
             }
         }
+        xy
     }
 
     /// `Y = A X` for `k` interleaved vectors (`x[i * k + t]` is entry `i` of
@@ -173,12 +181,12 @@ impl CsrMatrix {
         // Common batch widths get a compile-time k so the per-row
         // accumulator block lives in registers.
         match k {
-            2 => self.mul_multi_fixed::<2>(x, y),
-            3 => self.mul_multi_fixed::<3>(x, y),
-            4 => self.mul_multi_fixed::<4>(x, y),
-            8 => self.mul_multi_fixed::<8>(x, y),
+            2 => _ = self.mul_multi_fixed::<2, false>(x, y),
+            3 => _ = self.mul_multi_fixed::<3, false>(x, y),
+            4 => _ = self.mul_multi_fixed::<4, false>(x, y),
+            8 => _ = self.mul_multi_fixed::<8, false>(x, y),
             _ => {
-                let row_block = |(r, yr): (usize, &mut [f64])| {
+                for (r, yr) in y.chunks_mut(k).enumerate() {
                     yr.fill(0.0);
                     for p in self.indptr[r]..self.indptr[r + 1] {
                         let v = self.values[p];
@@ -187,21 +195,37 @@ impl CsrMatrix {
                             yr[t] += v * xb[t];
                         }
                     }
-                };
-                if self.n_rows >= 4096 {
-                    y.par_chunks_mut(k).enumerate().for_each(row_block);
-                } else {
-                    y.chunks_mut(k).enumerate().for_each(row_block);
                 }
             }
         }
     }
 
-    /// [`mul_multi_into`](Self::mul_multi_into) with the batch width fixed
-    /// at compile time: same floating-point operations in the same order,
-    /// but the accumulator is a `[f64; K]` held in registers.
-    fn mul_multi_fixed<const K: usize>(&self, x: &[f64], y: &mut [f64]) {
-        let row_block = |(r, yr): (usize, &mut [f64])| {
+    /// [`mul_multi_into`](Self::mul_multi_into) at a compile-time width `K`
+    /// that also returns the column dot products `x_t·y_t`, each summed in
+    /// row order like [`mul_vec_dot_into`](Self::mul_vec_dot_into) (CG's
+    /// per-column `p·Ap`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square or the lengths are not `n·K`.
+    pub(crate) fn mul_multi_dot<const K: usize>(&self, x: &[f64], y: &mut [f64]) -> [f64; K] {
+        assert_eq!(self.n_rows, self.n_cols, "mul_multi_dot: matrix must be square");
+        assert_eq!(x.len(), self.n_cols * K, "mul_multi: x length mismatch");
+        assert_eq!(y.len(), self.n_rows * K, "mul_multi: y length mismatch");
+        self.mul_multi_fixed::<K, true>(x, y)
+    }
+
+    /// The fixed-width mat-vec loop: same floating-point operations in the
+    /// same order as the single-vector kernel per column, with the
+    /// accumulator a `[f64; K]` held in registers. With `DOT` it also sums
+    /// `x[r·K+t]·y[r·K+t]` per column (square matrices only).
+    fn mul_multi_fixed<const K: usize, const DOT: bool>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+    ) -> [f64; K] {
+        let mut xy = [0.0f64; K];
+        for (r, yr) in y.chunks_exact_mut(K).enumerate() {
             let mut acc = [0.0f64; K];
             for p in self.indptr[r]..self.indptr[r + 1] {
                 let v = self.values[p];
@@ -210,13 +234,15 @@ impl CsrMatrix {
                     *a += v * xv;
                 }
             }
+            if DOT {
+                let xr = &x[r * K..][..K];
+                for t in 0..K {
+                    xy[t] += xr[t] * acc[t];
+                }
+            }
             yr.copy_from_slice(&acc);
-        };
-        if self.n_rows >= 4096 {
-            y.par_chunks_mut(K).enumerate().for_each(row_block);
-        } else {
-            y.chunks_mut(K).enumerate().for_each(row_block);
         }
+        xy
     }
 
     /// Main diagonal as a dense vector (zeros where absent).
@@ -300,7 +326,7 @@ impl CsrMatrix {
         coo.to_csr()
     }
 
-    /// Row pointers (for advanced consumers such as the IC(0) factorization).
+    /// Row pointers.
     pub fn indptr(&self) -> &[usize] {
         &self.indptr
     }

@@ -9,8 +9,8 @@ pub type SparseResult<T> = std::result::Result<T, SolveError>;
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
     /// A factorization hit a non-positive pivot — the matrix is not SPD
-    /// (or IC(0) broke down, which for M-matrices like PDN conductance
-    /// matrices indicates a stamping bug).
+    /// (or the MIC(0) preconditioner broke down, which for M-matrices like
+    /// PDN conductance matrices indicates a stamping bug).
     NotPositiveDefinite {
         /// Row at which the breakdown occurred.
         row: usize,

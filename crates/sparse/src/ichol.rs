@@ -1,15 +1,29 @@
-//! Zero-fill incomplete Cholesky — IC(0) — preconditioner.
+//! Relaxed modified incomplete Cholesky — MIC(0) — preconditioner.
 //!
-//! For the M-matrices produced by PDN stamping, IC(0) never breaks down and
-//! reduces conjugate-gradient iteration counts by an order of magnitude
-//! compared to Jacobi, which is what makes repeated transient solves (one per
-//! time stamp, paper §2) affordable.
+//! The factor keeps the sparsity of `A`'s lower triangle, as zero-fill
+//! IC(0) does, but every fill entry the pattern drops is subtracted, scaled
+//! by [`MIC_RELAXATION`], from the diagonals of both its rows. The row sums
+//! of `L Lᵀ` then track those of `A`, which removes the smooth error modes
+//! IC(0) leaves to the outer iteration: on the PDN companion matrices
+//! warm-started CG needs about a third fewer iterations per time stamp
+//! (paper §2: one solve per time stamp, so this is most of sign-off cost).
+//!
+//! The sweeps multiply by a stored reciprocal diagonal instead of dividing,
+//! so their dependency chains run at multiply latency, and index the factor
+//! with `u32` to halve the index stream.
 
 use crate::cg::Preconditioner;
 use crate::csr::CsrMatrix;
 use crate::error::{SolveError, SparseResult};
 
-/// The IC(0) factor `L` (lower triangular, same sparsity as the lower
+/// The relaxation ω of the diagonal compensation. At ω = 1 (pure MIC) the
+/// DC matrix, whose interior rows sum to zero, drives pivots to zero: the
+/// factor breaks down or CG needs several times IC(0)'s iterations. At
+/// ω = 0.95 the factor stays positive on every preset and keeps most of
+/// MIC's cut on the transient matrix (EXPERIMENTS.md, "Relaxed MIC(0)").
+pub const MIC_RELAXATION: f64 = 0.95;
+
+/// The MIC(0) factor `L` (lower triangular, same sparsity as the lower
 /// triangle of `A`), applied as the preconditioner `M⁻¹ = (L Lᵀ)⁻¹`.
 ///
 /// # Example
@@ -21,128 +35,199 @@ use crate::error::{SolveError, SparseResult};
 ///
 /// let mut coo = CooMatrix::new(2, 2);
 /// coo.push(0, 0, 4.0);
-/// coo.push(1, 1, 9.0);
+/// coo.push(1, 1, 16.0);
 /// let a = coo.to_csr();
-/// // For a diagonal matrix, IC(0) is exact: M⁻¹ r = A⁻¹ r.
+/// // For a diagonal matrix nothing is dropped: M⁻¹ r = A⁻¹ r.
 /// let pre = IncompleteCholesky::factor(&a).unwrap();
 /// let mut z = vec![0.0; 2];
-/// pre.apply(&[4.0, 9.0], &mut z);
+/// pre.apply(&[4.0, 16.0], &mut z);
 /// assert_eq!(z, vec![1.0, 1.0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncompleteCholesky {
     n: usize,
-    // L in CSR (row-major, columns ascending, diagonal last in each row).
-    indptr: Vec<usize>,
-    indices: Vec<usize>,
+    // Strict lower triangle of L in CSR (columns ascending), for the
+    // forward sweep.
+    indptr: Vec<u32>,
+    indices: Vec<u32>,
     values: Vec<f64>,
-    // Lᵀ in CSR (i.e. L in CSC), for the backward solve.
-    t_indptr: Vec<usize>,
-    t_indices: Vec<usize>,
+    // The same entries in CSC (Lᵀ by rows, rows ascending), for the
+    // backward sweep.
+    t_indptr: Vec<u32>,
+    t_indices: Vec<u32>,
     t_values: Vec<f64>,
+    // 1 / L[i][i].
+    inv_diag: Vec<f64>,
+}
+
+/// `v` as a `u32` factor index, or the error naming what overflowed.
+fn index32(v: usize, what: &str) -> SparseResult<u32> {
+    u32::try_from(v).map_err(|_| SolveError::DimensionMismatch {
+        detail: format!("ichol: {what} {v} exceeds the 32-bit factor index range"),
+    })
+}
+
+/// Transposes an `n × n` compressed triangle, CSR to CSC or back. Walking
+/// the source in order leaves the indices of each output line ascending.
+fn transpose(
+    n: usize,
+    ptr: &[u32],
+    idx: &[u32],
+    vals: &[f64],
+) -> (Vec<u32>, Vec<u32>, Vec<f64>) {
+    let mut t_ptr = vec![0u32; n + 1];
+    for &i in idx {
+        t_ptr[i as usize + 1] += 1;
+    }
+    for i in 0..n {
+        t_ptr[i + 1] += t_ptr[i];
+    }
+    let mut t_idx = vec![0u32; idx.len()];
+    let mut t_vals = vec![0.0; idx.len()];
+    let mut next = t_ptr.clone();
+    for line in 0..n {
+        for p in ptr[line] as usize..ptr[line + 1] as usize {
+            let i = idx[p] as usize;
+            let q = next[i] as usize;
+            t_idx[q] = line as u32;
+            t_vals[q] = vals[p];
+            next[i] += 1;
+        }
+    }
+    (t_ptr, t_idx, t_vals)
 }
 
 impl IncompleteCholesky {
-    /// Computes the IC(0) factorization of a symmetric positive-definite
-    /// matrix. Only the lower triangle of `a` is read.
+    /// Computes the relaxed MIC(0) factorization (ω = [`MIC_RELAXATION`])
+    /// of a symmetric positive-definite matrix. Only the lower triangle of
+    /// `a` is read.
     ///
     /// # Errors
     ///
     /// Returns [`SolveError::NotPositiveDefinite`] on pivot breakdown and
-    /// [`SolveError::DimensionMismatch`] for non-square input.
+    /// [`SolveError::DimensionMismatch`] for non-square input or a factor
+    /// too large for 32-bit indices.
     pub fn factor(a: &CsrMatrix) -> SparseResult<IncompleteCholesky> {
+        Self::factor_relaxed(a, MIC_RELAXATION)
+    }
+
+    /// The factorization at relaxation `omega`: 0 is IC(0), 1 is MIC(0).
+    fn factor_relaxed(a: &CsrMatrix, omega: f64) -> SparseResult<IncompleteCholesky> {
         if a.n_rows() != a.n_cols() {
             return Err(SolveError::DimensionMismatch {
                 detail: format!("ichol of {}x{} matrix", a.n_rows(), a.n_cols()),
             });
         }
         let n = a.n_rows();
-        // Build the lower-triangle sparsity row by row; values computed with
-        // the standard row-oriented IC(0) update:
-        //   L[i][j] = (A[i][j] - Σ_k<j L[i][k] L[j][k]) / L[j][j]
-        //   L[i][i] = sqrt(A[i][i] - Σ_k<i L[i][k]²)
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut indices: Vec<usize> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        indptr.push(0);
+        index32(n, "dimension")?;
 
-        // For the dot products we need fast access to "row j of L" for j < i;
-        // rows are finalized in order, so we can scan them via indptr.
-        for i in 0..n {
-            let (a_cols, a_vals) = a.row(i);
-            let row_start = indices.len();
-            for (&j, &aij) in a_cols.iter().zip(a_vals) {
-                if j > i {
-                    break;
-                }
-                // Σ_k L[i][k] L[j][k] for k < j: merge-scan the two rows.
-                let mut s = 0.0;
-                {
-                    let (mut p, mut q) = (row_start, indptr[j]);
-                    let p_end = indices.len();
-                    let q_end = if j == i { indices.len() } else { indptr[j + 1] };
-                    while p < p_end && q < q_end {
-                        let (cp, cq) = (indices[p], indices[q]);
-                        if cp >= j || cq >= j {
-                            break;
-                        }
-                        match cp.cmp(&cq) {
-                            std::cmp::Ordering::Less => p += 1,
-                            std::cmp::Ordering::Greater => q += 1,
-                            std::cmp::Ordering::Equal => {
-                                s += values[p] * values[q];
-                                p += 1;
-                                q += 1;
-                            }
-                        }
-                    }
-                }
-                if j == i {
-                    let pivot = aij - s;
-                    if pivot <= 0.0 {
-                        pdn_core::telemetry::counter_add("sparse.ichol.breakdowns", 1);
-                        return Err(SolveError::NotPositiveDefinite { row: i, pivot });
-                    }
-                    indices.push(i);
-                    values.push(pivot.sqrt());
-                } else {
-                    // Diagonal of row j is its last stored entry.
-                    let ljj = values[indptr[j + 1] - 1];
-                    indices.push(j);
-                    values.push((aij - s) / ljj);
+        // The diagonal and strict lower triangle of A, which the
+        // elimination overwrites with the factor; it walks the triangle
+        // column by column, so it holds it in CSC.
+        let mut diag = vec![0.0; n];
+        let mut colptr = vec![0u32; n + 1];
+        for (i, d) in diag.iter_mut().enumerate() {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                if j < i {
+                    colptr[j + 1] += 1;
+                } else if j == i {
+                    *d = v;
                 }
             }
-            indptr.push(indices.len());
         }
-
-        // Transpose L for the backward substitution.
-        let nnz = values.len();
-        let mut t_indptr = vec![0usize; n + 1];
-        for &c in &indices {
-            t_indptr[c + 1] += 1;
+        let mut nnz = 0usize;
+        for c in colptr.iter_mut().skip(1) {
+            nnz += *c as usize;
+            *c = index32(nnz, "non-zero count")?;
         }
-        for i in 0..n {
-            t_indptr[i + 1] += t_indptr[i];
-        }
-        let mut t_indices = vec![0usize; nnz];
-        let mut t_values = vec![0.0; nnz];
-        let mut next = t_indptr.clone();
-        for r in 0..n {
-            for k in indptr[r]..indptr[r + 1] {
-                let c = indices[k];
-                t_indices[next[c]] = r;
-                t_values[next[c]] = values[k];
-                next[c] += 1;
+        let mut rows = vec![0u32; nnz];
+        let mut vals = vec![0.0; nnz];
+        {
+            let mut next = colptr.clone();
+            for i in 0..n {
+                let (cols, a_vals) = a.row(i);
+                for (&j, &v) in cols.iter().zip(a_vals) {
+                    if j >= i {
+                        break;
+                    }
+                    let p = next[j] as usize;
+                    rows[p] = i as u32;
+                    vals[p] = v;
+                    next[j] += 1;
+                }
             }
         }
 
+        // Right-looking elimination, column by column. Each pair of rows
+        // i > j below the pivot contributes L[i][k]·L[j][k] to (i, j): kept
+        // if (i, j) is in the pattern, otherwise moved (times ω) onto the
+        // diagonals of rows i and j.
+        for k in 0..n {
+            let pivot = diag[k];
+            if pivot <= 0.0 {
+                pdn_core::telemetry::counter_add("sparse.ichol.breakdowns", 1);
+                return Err(SolveError::NotPositiveDefinite { row: k, pivot });
+            }
+            let lkk = pivot.sqrt();
+            // Later columns update only rows below k, so the pivot's slot
+            // is free to hold the reciprocal the sweeps multiply by.
+            diag[k] = 1.0 / lkk;
+            let (lo, hi) = (colptr[k] as usize, colptr[k + 1] as usize);
+            for v in &mut vals[lo..hi] {
+                *v /= lkk;
+            }
+            for p in lo..hi {
+                let j = rows[p] as usize;
+                let ljk = vals[p];
+                diag[j] -= ljk * ljk;
+                let (jlo, jhi) = (colptr[j] as usize, colptr[j + 1] as usize);
+                for q in p + 1..hi {
+                    let i = rows[q];
+                    let prod = vals[q] * ljk;
+                    match rows[jlo..jhi].binary_search(&i) {
+                        Ok(s) => vals[jlo + s] -= prod,
+                        Err(_) => {
+                            diag[i as usize] -= omega * prod;
+                            diag[j] -= omega * prod;
+                        }
+                    }
+                }
+            }
+        }
+
+        // The forward sweep reads the factor by rows.
+        let (indptr, indices, values) = transpose(n, &colptr, &rows, &vals);
         pdn_core::telemetry::counter_add("sparse.ichol.factorizations", 1);
-        Ok(IncompleteCholesky { n, indptr, indices, values, t_indptr, t_indices, t_values })
+        Ok(IncompleteCholesky {
+            n,
+            indptr,
+            indices,
+            values,
+            t_indptr: colptr,
+            t_indices: rows,
+            t_values: vals,
+            inv_diag: diag,
+        })
     }
 
     /// Dimension of the factored system.
     pub fn dim(&self) -> usize {
         self.n
+    }
+
+    /// Row `i` of the strict lower factor (forward sweep) as
+    /// `(columns, values)`.
+    fn lower_row(&self, i: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.indptr[i] as usize, self.indptr[i + 1] as usize);
+        (&self.indices[lo..hi], &self.values[lo..hi])
+    }
+
+    /// Row `i` of the strict upper factor `Lᵀ` (backward sweep) as
+    /// `(columns, values)`.
+    fn upper_row(&self, i: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.t_indptr[i] as usize, self.t_indptr[i + 1] as usize);
+        (&self.t_indices[lo..hi], &self.t_values[lo..hi])
     }
 
     /// Solves `L Lᵀ z = r` (forward then backward substitution).
@@ -153,26 +238,23 @@ impl IncompleteCholesky {
     pub fn solve_into(&self, r: &[f64], z: &mut [f64]) {
         assert_eq!(r.len(), self.n, "solve: r length mismatch");
         assert_eq!(z.len(), self.n, "solve: z length mismatch");
-        // Forward: L y = r, row-oriented; diagonal is last entry of each row.
+        // Forward: L y = r.
         for i in 0..self.n {
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
+            let (cols, vals) = self.lower_row(i);
             let mut s = r[i];
-            for k in lo..hi - 1 {
-                s -= self.values[k] * z[self.indices[k]];
+            for (&c, &v) in cols.iter().zip(vals) {
+                s -= v * z[c as usize];
             }
-            z[i] = s / self.values[hi - 1];
+            z[i] = s * self.inv_diag[i];
         }
-        // Backward: Lᵀ x = y, using the transposed (upper-triangular) factor;
-        // in Lᵀ's row i, the diagonal is the *first* entry.
+        // Backward: Lᵀ x = y.
         for i in (0..self.n).rev() {
-            let lo = self.t_indptr[i];
-            let hi = self.t_indptr[i + 1];
+            let (cols, vals) = self.upper_row(i);
             let mut s = z[i];
-            for k in lo + 1..hi {
-                s -= self.t_values[k] * z[self.t_indices[k]];
+            for (&c, &v) in cols.iter().zip(vals) {
+                s -= v * z[c as usize];
             }
-            z[i] = s / self.t_values[lo];
+            z[i] = s * self.inv_diag[i];
         }
     }
 
@@ -202,38 +284,32 @@ impl IncompleteCholesky {
 
     fn solve_multi_generic(&self, r: &[f64], z: &mut [f64], k: usize) {
         let mut s = vec![0.0f64; k];
-        // Forward: L Y = R, row-oriented; diagonal is last entry per row.
         for i in 0..self.n {
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
+            let (cols, vals) = self.lower_row(i);
             s.copy_from_slice(&r[i * k..(i + 1) * k]);
-            for p in lo..hi - 1 {
-                let v = self.values[p];
-                let zb = &z[self.indices[p] * k..][..k];
+            for (&c, &v) in cols.iter().zip(vals) {
+                let zb = &z[c as usize * k..][..k];
                 for t in 0..k {
                     s[t] -= v * zb[t];
                 }
             }
-            let d = self.values[hi - 1];
+            let d = self.inv_diag[i];
             for t in 0..k {
-                z[i * k + t] = s[t] / d;
+                z[i * k + t] = s[t] * d;
             }
         }
-        // Backward: Lᵀ X = Y; in Lᵀ's row i the diagonal is the first entry.
         for i in (0..self.n).rev() {
-            let lo = self.t_indptr[i];
-            let hi = self.t_indptr[i + 1];
+            let (cols, vals) = self.upper_row(i);
             s.copy_from_slice(&z[i * k..(i + 1) * k]);
-            for p in lo + 1..hi {
-                let v = self.t_values[p];
-                let zb = &z[self.t_indices[p] * k..][..k];
+            for (&c, &v) in cols.iter().zip(vals) {
+                let zb = &z[c as usize * k..][..k];
                 for t in 0..k {
                     s[t] -= v * zb[t];
                 }
             }
-            let d = self.t_values[lo];
+            let d = self.inv_diag[i];
             for t in 0..k {
-                z[i * k + t] = s[t] / d;
+                z[i * k + t] = s[t] * d;
             }
         }
     }
@@ -243,35 +319,31 @@ impl IncompleteCholesky {
     /// order, with the `[f64; K]` block held in registers.
     fn solve_multi_fixed<const K: usize>(&self, r: &[f64], z: &mut [f64]) {
         for i in 0..self.n {
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
+            let (cols, vals) = self.lower_row(i);
             let mut s: [f64; K] = r[i * K..(i + 1) * K].try_into().unwrap();
-            for p in lo..hi - 1 {
-                let v = self.values[p];
-                let zb: &[f64; K] = z[self.indices[p] * K..][..K].try_into().unwrap();
+            for (&c, &v) in cols.iter().zip(vals) {
+                let zb: &[f64; K] = z[c as usize * K..][..K].try_into().unwrap();
                 for (sv, &zv) in s.iter_mut().zip(zb) {
                     *sv -= v * zv;
                 }
             }
-            let d = self.values[hi - 1];
+            let d = self.inv_diag[i];
             for (t, &sv) in s.iter().enumerate() {
-                z[i * K + t] = sv / d;
+                z[i * K + t] = sv * d;
             }
         }
         for i in (0..self.n).rev() {
-            let lo = self.t_indptr[i];
-            let hi = self.t_indptr[i + 1];
+            let (cols, vals) = self.upper_row(i);
             let mut s: [f64; K] = z[i * K..(i + 1) * K].try_into().unwrap();
-            for p in lo + 1..hi {
-                let v = self.t_values[p];
-                let zb: &[f64; K] = z[self.t_indices[p] * K..][..K].try_into().unwrap();
+            for (&c, &v) in cols.iter().zip(vals) {
+                let zb: &[f64; K] = z[c as usize * K..][..K].try_into().unwrap();
                 for (sv, &zv) in s.iter_mut().zip(zb) {
                     *sv -= v * zv;
                 }
             }
-            let d = self.t_values[lo];
+            let d = self.inv_diag[i];
             for (t, &sv) in s.iter().enumerate() {
-                z[i * K + t] = sv / d;
+                z[i * K + t] = sv * d;
             }
         }
     }
@@ -306,7 +378,7 @@ mod tests {
 
     #[test]
     fn exact_on_tridiagonal() {
-        // IC(0) on a tridiagonal matrix has no dropped fill, so it is the
+        // A tridiagonal matrix has no dropped fill, so MIC(0) is the
         // exact Cholesky factorization: applying it solves the system.
         let a = laplacian_path(6);
         let pre = IncompleteCholesky::factor(&a).unwrap();
@@ -359,16 +431,13 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn incomplete_on_2d_grid_is_close() {
-        // 2-D 5-point Laplacian has fill; IC(0) is inexact but should still
-        // be a decent approximation: ‖A (LLᵀ)⁻¹ b − b‖ ≪ ‖b‖.
-        let n = 4;
+    /// `n × n` 5-point grid Laplacian with `shift` added to each diagonal.
+    fn grid(n: usize, shift: f64) -> CsrMatrix {
         let idx = |r: usize, c: usize| r * n + c;
         let mut coo = CooMatrix::new(n * n, n * n);
         for r in 0..n {
             for c in 0..n {
-                coo.push(idx(r, c), idx(r, c), 4.2);
+                coo.push(idx(r, c), idx(r, c), shift);
                 if r + 1 < n {
                     coo.stamp_conductance(Some(idx(r, c)), Some(idx(r + 1, c)), 1.0);
                 }
@@ -377,7 +446,63 @@ mod tests {
                 }
             }
         }
-        let a = coo.to_csr();
+        coo.to_csr()
+    }
+
+    /// `L Lᵀ x`, from the factor's two stored triangles.
+    fn llt_mul(pre: &IncompleteCholesky, x: &[f64]) -> Vec<f64> {
+        let n = pre.dim();
+        let diag: Vec<f64> = pre.inv_diag.iter().map(|d| 1.0 / d).collect();
+        // y = Lᵀ x.
+        let y: Vec<f64> = (0..n)
+            .map(|i| {
+                let (cols, vals) = pre.upper_row(i);
+                diag[i] * x[i] + cols.iter().zip(vals).map(|(&c, v)| v * x[c as usize]).sum::<f64>()
+            })
+            .collect();
+        // L y.
+        (0..n)
+            .map(|i| {
+                let (cols, vals) = pre.lower_row(i);
+                diag[i] * y[i] + cols.iter().zip(vals).map(|(&c, v)| v * y[c as usize]).sum::<f64>()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn unrelaxed_mic_preserves_row_sums() {
+        // At ω = 1 every dropped fill entry lands on the diagonal, so
+        // L Lᵀ 1 = A 1; at ω = 0 (IC(0)) the grid's dropped fill shows.
+        let a = grid(6, 0.3);
+        let ones = vec![1.0; a.n_rows()];
+        let want = a.mul_vec(&ones);
+        let dev = |omega: f64| {
+            let got = llt_mul(&IncompleteCholesky::factor_relaxed(&a, omega).unwrap(), &ones);
+            got.iter().zip(&want).map(|(g, w)| (g - w).abs()).fold(0.0, f64::max)
+        };
+        assert!(dev(1.0) < 1e-12, "MIC(0) row sums drift by {}", dev(1.0));
+        assert!(dev(0.0) > 0.1, "IC(0) should not preserve row sums: {}", dev(0.0));
+        assert!(dev(MIC_RELAXATION) < dev(0.0));
+    }
+
+    #[test]
+    fn relaxed_mic_cuts_cg_iterations_against_ic0() {
+        use crate::cg::{solve, CgOptions};
+        let a = grid(24, 0.01);
+        let b: Vec<f64> = (0..a.n_rows()).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
+        let opts = CgOptions::default();
+        let iters = |pre: IncompleteCholesky| solve(&a, &b, &pre, &opts).unwrap().iterations;
+        let ic0 = iters(IncompleteCholesky::factor_relaxed(&a, 0.0).unwrap());
+        let mic = iters(IncompleteCholesky::factor(&a).unwrap());
+        assert!(mic < ic0, "relaxed MIC(0) took {mic} iterations, IC(0) {ic0}");
+    }
+
+    #[test]
+    fn incomplete_on_2d_grid_is_close() {
+        // 2-D 5-point Laplacian has fill; MIC(0) is inexact but should still
+        // be a decent approximation: ‖A (LLᵀ)⁻¹ b − b‖ ≪ ‖b‖.
+        let n = 4;
+        let a = grid(n, 4.2);
         let pre = IncompleteCholesky::factor(&a).unwrap();
         let b: Vec<f64> = (0..n * n).map(|i| (i % 3) as f64 - 1.0).collect();
         let mut z = vec![0.0; n * n];
@@ -385,6 +510,6 @@ mod tests {
         let az = a.mul_vec(&z);
         let err: f64 = az.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt();
         let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-        assert!(err / nb < 0.5, "IC(0) too inaccurate: {}", err / nb);
+        assert!(err / nb < 0.5, "MIC(0) too inaccurate: {}", err / nb);
     }
 }

@@ -5,8 +5,7 @@
 //! (paper §2). This crate provides everything the simulator needs:
 //!
 //! * [`coo::CooMatrix`] — triplet assembly during MNA stamping;
-//! * [`csr::CsrMatrix`] — compressed-sparse-row storage with parallel
-//!   mat-vec;
+//! * [`csr::CsrMatrix`] — compressed-sparse-row storage and mat-vec;
 //! * [`dense::DenseMatrix`] — dense fallback with Cholesky, used for small
 //!   systems and for cross-checking the sparse paths in tests;
 //! * [`cholesky::SparseCholesky`] — elimination-tree sparse direct
@@ -15,7 +14,8 @@
 //!   column panels driven by the [`panel`] GEMM/TRSM kernels: the
 //!   paper-scale factor-once/solve-many path, with an analyze/factor/
 //!   refactor split and threaded multi-RHS sweeps;
-//! * [`ichol::IncompleteCholesky`] — zero-fill IC(0) preconditioner;
+//! * [`ichol::IncompleteCholesky`] — relaxed modified incomplete Cholesky
+//!   (MIC(0), ω = [`ichol::MIC_RELAXATION`]) preconditioner;
 //! * [`cg`] — preconditioned conjugate gradient, the workhorse solver;
 //! * [`amd`] — quotient-graph approximate minimum degree, the
 //!   fill-reducing ordering of the supernodal factor.

@@ -16,18 +16,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// `y += alpha * x`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// `y = x + beta * y` (the CG direction update).
 ///
 /// # Panics
@@ -88,13 +76,6 @@ pub fn deinterleave_into(src: &[f64], k: usize, t: usize, dst: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
-    }
 
     #[test]
     fn xpby_updates_direction() {

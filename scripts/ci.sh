@@ -22,6 +22,13 @@ echo "== cargo test =="
 cargo test -q --offline --workspace
 
 echo
+echo "== cargo test (second run) =="
+# Tests that assert on process-global telemetry race their siblings under
+# the default parallel test threads; one clean run can hide that, so the
+# workspace suite must pass twice.
+cargo test -q --offline --workspace
+
+echo
 echo "== cargo test -p pdn-sim at PDN_THREADS=2 =="
 # The suite above runs at width 1 (PDN_THREADS unset), so WnvRunner::run_group
 # and the cache and single-flight paths over it only run fanned out here.

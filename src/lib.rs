@@ -8,7 +8,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`core`] (`pdn-core`) | typed units, layout geometry, tile maps |
-//! | [`sparse`] (`pdn-sparse`) | CSR matrices, Cholesky/IC(0), CG |
+//! | [`sparse`] (`pdn-sparse`) | CSR matrices, Cholesky/MIC(0), CG |
 //! | [`grid`] (`pdn-grid`) | synthetic on-die PDN generator, D1–D4 presets |
 //! | [`sim`] (`pdn-sim`) | transient + static simulator (the ground truth) |
 //! | [`vectors`] (`pdn-vectors`) | switching-current test-vector generation |
